@@ -17,6 +17,7 @@ from .bell import bell_dual, bell_partial
 from .emit import emit, emit_json, parse_json
 from .freepoly import FreePoly
 from .pbw import pbw_rewrite, reduce_mod_p
+from .rings import _is_prime
 from .shuffle import binomial_ls, sh_closed_form, sh_pbw_char_p
 from .words import (cfl_factorize, format_word, is_lyndon, lyndon_enumerate,
                     parse_word, standard_factorization)
@@ -48,10 +49,16 @@ def _tokenize(s: str):
 
 
 class _Parser:
-    def __init__(self, tokens, m):
+    def __init__(self, tokens, m, max_degree):
         self.toks = tokens
         self.i = 0
         self.m = m
+        self.max_degree = max_degree
+
+    def guard(self, degree):
+        """Refuse a word or product above the cap before it is expanded."""
+        if self.max_degree is not None:
+            _degree_guard(degree, self.max_degree)
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -86,7 +93,9 @@ class _Parser:
         p = self.factor()
         while self.peek() == "*":
             self.take()
-            p = p * self.factor()
+            q = self.factor()
+            self.guard(_degree(p) + _degree(q))
+            p = p * q
         return p
 
     def factor(self):
@@ -96,6 +105,7 @@ class _Parser:
             n = self.take()
             if n is None or not n.isdigit():
                 raise UsageError("power must be a nonnegative integer")
+            self.guard(_degree(atom) * int(n))
             atom = atom ** int(n)
         return atom
 
@@ -104,7 +114,8 @@ class _Parser:
         if t is None:
             raise UsageError("unexpected end of expression")
         if t.startswith("E("):
-            w = parse_word(t[2:-1], self.m)
+            w = _word_arg(t[2:-1], self.m)
+            self.guard(len(w))
             return FreePoly.word(w, self.m)
         if t == "(":
             p = self.expr()
@@ -112,14 +123,56 @@ class _Parser:
                 raise UsageError("missing closing parenthesis")
             return p
         if "/" in t:
+            if int(t.partition("/")[2]) == 0:
+                raise UsageError(f"zero denominator in {t!r}")
             return FreePoly.unit(self.m, Fraction(t))
         if t.isdigit():
             return FreePoly.unit(self.m, int(t))
         raise UsageError(f"unexpected token {t!r}")
 
 
-def parse_expression(s: str, m: int = 2) -> FreePoly:
-    return _Parser(_tokenize(s), m).parse()
+def parse_expression(s: str, m: int = 2, max_degree: int = None) -> FreePoly:
+    return _Parser(_tokenize(s), m, max_degree).parse()
+
+
+def _degree(f: FreePoly) -> int:
+    return max((len(w) for w in f.terms), default=0)
+
+
+# -- argument validation -----------------------------------------------------
+
+# Smallest accepted value of each integer option, whichever command has it.
+_LOWER_BOUNDS = {"alphabet": 1, "max_len": 1, "max_degree": 0, "degree": 0,
+                 "n": 0, "k": 0, "d": 0}
+
+
+def _check_bounds(args):
+    for name, low in _LOWER_BOUNDS.items():
+        value = getattr(args, name, None)
+        if isinstance(value, int) and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+
+
+def _parse_ring(spec: str, modular: bool):
+    """None for --ring Q, else the prime p of GF:p (only where ``modular``)."""
+    if spec == "Q":
+        return None
+    if not modular:
+        raise UsageError(f"--ring {spec!r} is not supported by this command; it takes only Q")
+    digits = spec[3:] if spec.startswith("GF:") else ""
+    if not (digits.isdigit() and _is_prime(int(digits))):
+        raise UsageError(f"bad --ring {spec!r}; expected Q or GF:p with p prime")
+    return int(digits)
+
+
+def _word_arg(s: str, m: int):
+    try:
+        w = parse_word(s, m)
+    except ValueError:
+        raise UsageError(f"bad word {s!r}")
+    if not all(1 <= x <= m for x in w):
+        raise UsageError(f"word {s!r} has a letter outside the alphabet 1..{m}")
+    return w
 
 
 # -- command implementations -------------------------------------------------
@@ -141,7 +194,7 @@ def cmd_lyndon(args):
 
 
 def cmd_factorize(args):
-    w = parse_word(args.word, args.alphabet)
+    w = _word_arg(args.word, args.alphabet)
     if not w:
         raise UsageError("cannot factorize the empty word")
     factors = cfl_factorize(w)
@@ -155,9 +208,12 @@ def cmd_factorize(args):
 
 def _parse_counts(s: str):
     try:
-        return tuple(int(x) for x in s.split(","))
+        counts = tuple(int(x) for x in s.split(","))
     except ValueError:
         raise UsageError(f"bad degree spec {s!r}; expected i,j[,k...]")
+    if any(c < 0 for c in counts):
+        raise UsageError(f"bad degree spec {s!r}; counts must be >= 0")
+    return counts
 
 
 def cmd_sh(args):
@@ -166,8 +222,8 @@ def cmd_sh(args):
         raise UsageError("need at least two counts")
     _degree_guard(sum(counts), args.max_degree)
     m = len(counts)
-    if args.ring.startswith("GF:"):
-        p = int(args.ring[3:])
+    p = args.modulus
+    if p is not None:
         if m != 2 or sum(counts) != p:
             raise UsageError("GF:p shuffle display expects two counts summing to p")
         _print_poly(sh_pbw_char_p(counts[0], p), args.format)
@@ -186,20 +242,23 @@ def cmd_sh(args):
 
 
 def cmd_binom(args):
+    if args.alphabet < 2:
+        raise UsageError("--alphabet must be >= 2")
     _degree_guard(args.degree, args.max_degree)
     poly = binomial_ls(args.alphabet, args.degree)
-    if args.ring.startswith("GF:"):
-        poly = reduce_mod_p(poly, int(args.ring[3:]))
+    if args.modulus is not None:
+        poly = reduce_mod_p(poly, args.modulus)
     _print_poly(poly, args.format)
     return 0
 
 
 def cmd_pbw(args):
-    f = parse_expression(args.expr, args.alphabet)
-    _degree_guard(max((len(w) for w in f.terms), default=0), args.max_degree)
-    poly = pbw_rewrite(f)
-    if args.ring.startswith("GF:"):
-        poly = reduce_mod_p(poly, int(args.ring[3:]))
+    poly = pbw_rewrite(parse_expression(args.expr, args.alphabet, args.max_degree))
+    if args.modulus is not None:
+        try:
+            poly = reduce_mod_p(poly, args.modulus)
+        except ZeroDivisionError as e:
+            raise UsageError(str(e))
     _print_poly(poly, args.format)
     return 0
 
@@ -230,6 +289,8 @@ def _fmt_qpoly(c):
 
 
 def cmd_quotient(args):
+    if args.model in ("blumen", "qcomm-bell") and args.format != "text":
+        raise UsageError(f"quotient {args.model} has only text output")
     if args.model == "weyl":
         if args.d is None:
             raise UsageError("quotient weyl needs --d")
@@ -254,25 +315,27 @@ def cmd_quotient(args):
     if args.model == "kill":
         if not args.set or args.expr is None:
             raise UsageError("quotient kill needs --set and --expr")
-        kill = {parse_word(w, args.alphabet) for w in args.set.split(",")}
+        kill = {_word_arg(w, args.alphabet) for w in args.set.split(",")}
         for w in kill:
             if not is_lyndon(w):
                 raise UsageError(f"{format_word(w, args.alphabet)} is not a Lyndon word")
-        f = parse_expression(args.expr, args.alphabet)
-        _degree_guard(max((len(w) for w in f.terms), default=0), args.max_degree)
+        f = parse_expression(args.expr, args.alphabet, args.max_degree)
         _print_poly(quotients.kill_project(pbw_rewrite(f), kill), args.format)
         return 0
     raise UsageError(f"unknown quotient model {args.model!r}")
 
 
 def _operator_from_spec(path: str, kind: str, sigma=None):
-    with open(path) as fh:
-        spec = json.load(fh)
-    m = spec.get("alphabet", 2)
-    images = {int(x): parse_json(doc) for x, doc in spec["images"].items()}
-    if kind == "endomorphism":
-        return qsigma.Endomorphism(images, m)
-    return qsigma.GenDerivation(images, sigma, m)
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+        m = spec.get("alphabet", 2)
+        images = {int(x): parse_json(doc) for x, doc in spec["images"].items()}
+        if kind == "endomorphism":
+            return qsigma.Endomorphism(images, m)
+        return qsigma.GenDerivation(images, sigma, m)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"cannot read {kind} spec {path!r}: {e}")
 
 
 def cmd_ore(args):
@@ -313,10 +376,11 @@ def cmd_verify(args):
 
 # -- argument wiring ---------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--ring", default="Q", help="Q, GF:p or Q[q]")
+def _add_common(sp, modular=False):
+    sp.add_argument("--ring", default="Q", help="Q or GF:p (p prime)" if modular else "Q")
     sp.add_argument("--format", default="text", choices=["text", "latex", "json"])
     sp.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_CAP)
+    sp.set_defaults(modular=modular)
 
 
 def build_parser():
@@ -339,20 +403,20 @@ def build_parser():
     sp = sub.add_parser("sh", help="shuffle type polynomial")
     sp.add_argument("--degree", required=True, help="letter counts i,j[,k...]")
     sp.add_argument("--pbw", action="store_true", help="emit in the PBW basis")
-    _add_common(sp)
+    _add_common(sp, modular=True)
     sp.set_defaults(fn=cmd_sh)
 
     sp = sub.add_parser("binom", help="full multinomial expansion in the PBW basis")
     sp.add_argument("--alphabet", type=int, default=2)
     sp.add_argument("--degree", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, modular=True)
     sp.set_defaults(fn=cmd_binom)
 
     sp = sub.add_parser("pbw", help="rewrite a word-basis expression into the PBW basis")
     sp.add_argument("--expr", required=True,
                     help="e.g. \"2*E(21)+E(12)\" or \"(E(1)+E(2))^3\"")
     sp.add_argument("--alphabet", type=int, default=2)
-    _add_common(sp)
+    _add_common(sp, modular=True)
     sp.set_defaults(fn=cmd_pbw)
 
     sp = sub.add_parser("bell", help="partial Bell differential polynomials (PBW basis)")
@@ -399,6 +463,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_bounds(args)
+        if hasattr(args, "ring"):
+            args.modulus = _parse_ring(args.ring, args.modular)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

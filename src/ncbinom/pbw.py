@@ -226,31 +226,28 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
 
 
 def enumerate_pbw_monomials(m: int, counts):
-    """All PBW monomials with the given multidegree (per-letter counts)."""
-    from .words import lyndon_enumerate
-    total = sum(counts)
-    lyndons = [w for w in lyndon_enumerate(m, max(total, 1)) if len(w) <= total]
-    lyndons.sort(reverse=True)  # choose factors in decreasing order
+    """All PBW monomials with the given multidegree (per-letter counts).
+
+    By the Chen-Fox-Lyndon theorem, w -> monomial_from_word(w) is a bijection
+    from the words of content ``counts`` onto these monomials.  The words are
+    walked in lex order (next permutation), so the cost is O(output * length).
+    """
+    if len(counts) != m or any(c < 0 for c in counts):
+        raise ValueError(f"need {m} nonnegative letter counts, got {tuple(counts)}")
+    w = [x for x, c in enumerate(counts, 1) for _ in range(c)]
     results = []
-
-    def rec(idx, remaining, acc):
-        if all(r == 0 for r in remaining):
-            results.append(tuple(acc))
-            return
-        if idx >= len(lyndons):
-            return
-        alpha = lyndons[idx]
-        deg = multidegree(alpha, m)
-        max_t = min((remaining[i] // deg[i]) for i in range(m) if deg[i]) if any(deg) else 0
-        rec(idx + 1, remaining, acc)
-        for t in range(1, max_t + 1):
-            new_rem = tuple(remaining[i] - t * deg[i] for i in range(m))
-            if any(r < 0 for r in new_rem):
-                break
-            rec(idx + 1, new_rem, acc + [(alpha, t)])
-
-    rec(0, tuple(counts), [])
-    return results
+    while True:
+        results.append(monomial_from_word(tuple(w)))
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return results
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
 
 
 def _rewrite_component_by_solve(comp, m):
@@ -313,7 +310,9 @@ def reduce_mod_p(p_poly: PBWPoly, p: int) -> PBWPoly:
     """Reduce rational PBW coefficients mod p (denominators must be units)."""
     def red(c):
         c = Fraction(c)
-        inv = pow(c.denominator % p, -1, p)
+        if c.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {c} is not invertible mod {p}")
+        inv = pow(c.denominator, -1, p)
         return ModInt(c.numerator * inv, p)
     return p_poly.map_coeffs(red)
 

@@ -17,6 +17,7 @@ class DivisionNotExact(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

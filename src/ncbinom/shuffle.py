@@ -2,19 +2,20 @@
 
 The closed form gives the coefficient of any PBW monomial in the shuffle type
 polynomial of its multidegree as a factorial quotient times a product of
-per-Lyndon-word integers; both quantities are asserted integral at every step.
+per-Lyndon-word integers, computed in exact integers with an explicit
+divisibility check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .freepoly import sh_multidegree
 from .pbw import (PBWMonomial, PBWPoly, enumerate_pbw_monomials,
-                  monomial_multidegree, pbw_rewrite, reduce_mod_p)
+                  monomial_degree, monomial_from_word, pbw_rewrite,
+                  reduce_mod_p)
 from .rings import factorial
-from .words import Word, cfl_factorize, is_lyndon
+from .words import Word, is_lyndon
 
 
 class IntegralityError(ArithmeticError):
@@ -38,47 +39,32 @@ def sh_pbw(counts, m: int = None) -> PBWPoly:
     return pbw_rewrite(word_form)
 
 
-def _grouped_cfl(w: Word):
-    groups = []
-    for f in cfl_factorize(w):
-        if groups and groups[-1][0] == f:
-            groups[-1][1] += 1
-        else:
-            groups.append([f, 1])
-    return groups
-
-
 @lru_cache(maxsize=None)
 def c_e_alpha(alpha: Word) -> int:
     """Coefficient of E_alpha in the shuffle type polynomial of its multidegree.
 
-    Recursion over the CFL factorization of alpha with its leading letter
-    removed; a single letter has coefficient 1.  Non-integral intermediates
-    violate the closed-form theorem and raise.
+    Equal to the closed-form coefficient of the PBW monomial of alpha with its
+    leading letter removed (a single letter has coefficient 1).
     """
     if not is_lyndon(alpha):
         raise ValueError(f"{alpha} is not a Lyndon word")
-    if len(alpha) == 1:
-        return 1
-    value = Fraction(factorial(len(alpha) - 1))
-    for sub, a in _grouped_cfl(alpha[1:]):
-        value /= Fraction(factorial(len(sub)) ** a * factorial(a))
-        value *= c_e_alpha(sub) ** a
-    if value.denominator != 1:
-        raise IntegralityError(f"non-integral coefficient {value} for {alpha}")
-    return int(value)
+    return coeff_closed_form(monomial_from_word(alpha[1:]))
 
 
 def coeff_closed_form(mono: PBWMonomial) -> int:
-    """Closed-form coefficient of a PBW monomial in its shuffle type polynomial."""
-    total = sum(len(alpha) * t for alpha, t in mono)
-    value = Fraction(factorial(total))
+    """Closed-form coefficient of a PBW monomial in its shuffle type polynomial.
+
+    |mono|! * prod c_e_alpha(alpha)^t / (|alpha|!^t t!), in exact integers; a
+    nonzero remainder violates the closed-form theorem and raises.
+    """
+    num, den = factorial(monomial_degree(mono)), 1
     for alpha, t in mono:
-        value /= Fraction(factorial(len(alpha)) ** t * factorial(t))
-        value *= c_e_alpha(alpha) ** t
-    if value.denominator != 1:
-        raise IntegralityError(f"non-integral coefficient {value} for {mono}")
-    return int(value)
+        num *= c_e_alpha(alpha) ** t
+        den *= factorial(len(alpha)) ** t * factorial(t)
+    value, rem = divmod(num, den)
+    if rem:
+        raise IntegralityError(f"non-integral coefficient {num}/{den} for {mono}")
+    return value
 
 
 def sh_closed_form(counts, m: int = None) -> PBWPoly:
@@ -139,8 +125,3 @@ def sh_pbw_char_p(k: int, p: int) -> PBWPoly:
             raise CharPViolation(
                 f"monomial {mono} of length < {p} survived reduction mod {p}")
     return reduced
-
-
-def binomial_multidegrees(m: int, d: int):
-    """All letter-count tuples of total d over an alphabet of size m."""
-    return list(_compositions(d, m))

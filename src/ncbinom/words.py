@@ -75,8 +75,8 @@ def lyndon_enumerate(m: int, max_len: int):
 
     Duval-style successor iteration.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    if m < 1 or max_len < 1:
+        raise ValueError("need m >= 1 and max_len >= 1")
     out = []
     w = [1]
     while w:
@@ -92,10 +92,6 @@ def lyndon_enumerate(m: int, max_len: int):
 @lru_cache(maxsize=None)
 def lyndon_words_of_length(m: int, length: int):
     return tuple(w for w in lyndon_enumerate(m, length) if len(w) == length)
-
-
-def letter_count(w: Word, x: int) -> int:
-    return sum(1 for c in w if c == x)
 
 
 def multidegree(w: Word, m: int):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ncbinom.cli import main, parse_expression
+from ncbinom.cli import UsageError, main, parse_expression
 from ncbinom.emit import emit_json, parse_json
 from ncbinom.freepoly import FreePoly
 
@@ -29,6 +29,11 @@ class TestExpressionParser:
         got = parse_expression("1/2*E(1) + 3")
         assert got.coeff((1,)) == 0.5
         assert got.coeff(()) == 3
+
+    def test_degree_cap_applies_before_expansion(self):
+        for expr in ("(E(1)+E(2))^14", "(E(1)+E(2))^7*(E(1)+E(2))^7"):
+            with pytest.raises(UsageError, match="cap 10"):
+                parse_expression(expr, 2, max_degree=10)
 
     def test_empty_word_atom(self):
         assert parse_expression("E()") == FreePoly.unit(2)
@@ -169,6 +174,64 @@ class TestExitCodes:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("binom", "--degree", "3", "--ring", "GF:4"),
+        ("pbw", "--expr", "E(3)"),
+        ("lyndon", "--max-len", "0"),
+        ("lyndon", "--max-len", "2", "--alphabet", "0"),
+        ("quotient", "weyl", "--d", "-1"),
+        ("ore", "--n", "2", "--sigma-spec", "missing.json"),
+        ("binom", "--degree", "-1"),
+        ("binom", "--alphabet", "1", "--degree", "2"),
+        ("sh", "--degree", "3,-1", "--pbw"),
+        ("qbell", "--n", "-1"),
+        ("factorize", "--word", "13"),
+        ("verify", "all", "--max-degree", "-1"),
+        ("binom", "--degree", "2", "--ring", "bogus"),
+        ("binom", "--degree", "2", "--ring", "Q[q]"),
+        ("sh", "--degree", "2,3", "--ring", "GF:x", "--pbw"),
+        ("bell", "--n", "2", "--ring", "GF:5"),
+        ("quotient", "weyl", "--d", "2", "--ring", "GF:5"),
+        ("quotient", "blumen", "--n", "2", "--format", "json"),
+        ("quotient", "qcomm-bell", "--n", "2", "--k", "1", "--format", "latex"),
+        ("pbw", "--expr", "1/2*E(1)", "--ring", "GF:2"),
+        ("pbw", "--expr", "1/0*E(1)"),
+        ("pbw", "--expr", "E(111111111111)"),
+    ])
+    def test_domain_errors_are_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bad_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "sigma.json"
+        path.write_text("{not json")
+        code, _, err = run(capsys, "ore", "--n", "2", "--sigma-spec", str(path))
+        assert code == 2 and err.startswith("error:")
+        path.write_text(json.dumps({"alphabet": 2, "images": {}}))
+        code, _, err = run(capsys, "ore", "--n", "2", "--sigma-spec", str(path))
+        assert code == 2 and err.startswith("error:")
+
+    def test_ring_q_accepted_everywhere(self, capsys):
+        code, out, _ = run(capsys, "bell", "--n", "2", "--k", "1", "--ring", "Q")
+        assert code == 0 and out.strip() == "B(2,1): 1*E(12)"
+
+    def test_ring_gf_reduces(self, capsys):
+        code, out, _ = run(capsys, "binom", "--degree", "3", "--ring", "GF:3")
+        assert code == 0
+        assert out.strip() == "1*E(1)^3 + 1*E(112) + 1*E(122) + 1*E(2)^3"
+
+    def test_internal_errors_are_not_masked(self, monkeypatch):
+        from ncbinom import cli
+        from ncbinom.pbw import OrderViolation
+
+        def broken(m, d):
+            raise OrderViolation("planted")
+        monkeypatch.setattr(cli, "binomial_ls", broken)
+        with pytest.raises(OrderViolation):
+            main(["binom", "--degree", "2"])
 
 
 class TestJsonPipeline:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial, prod
 import warnings
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from ncbinom.freepoly import FreePoly, commutator
 from ncbinom.pbw import (OrderViolation, PBWPoly, UnsupportedRing,
                          commutator_ls, enumerate_pbw_monomials,
-                         ls_basis_element, monomial_from_word, pbw_expand,
-                         pbw_rewrite, validate_monomial)
+                         ls_basis_element, monomial_from_word, monomial_word,
+                         pbw_expand, pbw_rewrite, validate_monomial)
 from ncbinom.rings import ModInt
 from ncbinom.words import is_lyndon, lyndon_enumerate, multidegree
 
@@ -54,11 +55,67 @@ class TestMonomials:
     def test_enumerate_by_multidegree(self):
         monos = enumerate_pbw_monomials(2, (1, 1))
         assert set(monos) == {(((2,), 1), ((1,), 1)), (((1, 2), 1),)}
-        # counting check: PBW monomials of multidegree (i,j) biject with
-        # words of that multidegree
-        for i in range(5):
-            for j in range(5):
-                assert len(enumerate_pbw_monomials(2, (i, j))) == comb(i + j, i)
+        # counting check: PBW monomials of a multidegree biject with the
+        # words of that multidegree, so there are multinomially many
+        for m in (2, 3):
+            for counts in _contents(m, 8):
+                want = factorial(sum(counts)) // prod(factorial(c) for c in counts)
+                assert len(enumerate_pbw_monomials(m, counts)) == want
+
+    def test_enumerate_matches_lyndon_recursion(self):
+        # same monomials in the same order as a search over Lyndon factors
+        # (verify draws from the list with rng.choice)
+        for m, max_total in ((2, 7), (3, 6)):
+            for counts in _contents(m, max_total):
+                assert enumerate_pbw_monomials(m, counts) == _enumerate_by_lyndon_factors(m, counts)
+
+    def test_enumerate_is_cfl_bijection(self):
+        for m, max_total in ((2, 8), (3, 5)):
+            for counts in _contents(m, max_total):
+                monos = enumerate_pbw_monomials(m, counts)
+                for mono in monos:
+                    validate_monomial(mono)
+                words = [monomial_word(mono) for mono in monos]
+                assert len(set(words)) == len(words)
+                assert set(words) == set(permutations(sum(([x] * c for x, c in
+                                                            enumerate(counts, 1)), [])))
+
+    def test_enumerate_rejects_bad_counts(self):
+        with pytest.raises(ValueError):
+            enumerate_pbw_monomials(2, (3, -1))
+        with pytest.raises(ValueError):
+            enumerate_pbw_monomials(2, (-1, 0))
+        with pytest.raises(ValueError):
+            enumerate_pbw_monomials(2, (1, 1, 1))
+
+
+def _contents(m, max_total):
+    """Every letter-count tuple over m letters with total <= max_total."""
+    return [c for c in product(range(max_total + 1), repeat=m) if sum(c) <= max_total]
+
+
+def _enumerate_by_lyndon_factors(m, counts):
+    """Oracle: choose an exponent for each Lyndon word, in decreasing order."""
+    total = sum(counts)
+    lyndons = sorted((w for w in lyndon_enumerate(m, max(total, 1)) if len(w) <= total),
+                     reverse=True)
+    results = []
+
+    def rec(idx, remaining, acc):
+        if not any(remaining):
+            results.append(tuple(acc))
+            return
+        if idx >= len(lyndons):
+            return
+        alpha = lyndons[idx]
+        deg = multidegree(alpha, m)
+        max_t = min(remaining[i] // deg[i] for i in range(m) if deg[i])
+        rec(idx + 1, remaining, acc)
+        for t in range(1, max_t + 1):
+            rec(idx + 1, tuple(r - t * d for r, d in zip(remaining, deg)), acc + [(alpha, t)])
+
+    rec(0, tuple(counts), [])
+    return results
 
 
 class TestRewrite:

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from ncbinom import shuffle
 from ncbinom.freepoly import FreePoly
-from ncbinom.pbw import PBWPoly, monomial_from_word, pbw_expand
-from ncbinom.shuffle import (CharPViolation, binomial_ls, c_e_alpha,
+from ncbinom.pbw import (PBWPoly, enumerate_pbw_monomials, monomial_from_word,
+                         pbw_expand)
+from ncbinom.shuffle import (IntegralityError, binomial_ls, c_e_alpha,
                              coeff_closed_form, sh_closed_form, sh_pbw,
                              sh_pbw_char_p)
 from ncbinom.words import lyndon_enumerate
@@ -68,6 +76,36 @@ class TestClosedForm:
     def test_word_monomial_has_coeff_from_formula(self):
         mono = monomial_from_word((2, 2, 1, 2, 1))
         assert coeff_closed_form(mono) == sh_pbw((3, 2), 2).coeff(mono)
+
+    def test_every_monomial_matches_rewrite(self):
+        for d in range(8):
+            for i in range(d + 1):
+                rewritten = sh_pbw((i, d - i), 2)
+                for mono in enumerate_pbw_monomials(2, (d - i, i)):
+                    c = coeff_closed_form(mono)
+                    assert type(c) is int
+                    assert c == rewritten.coeff(mono)
+
+    def test_non_integral_coefficient_raises(self, monkeypatch):
+        # a half-integer E_alpha coefficient makes E_12^1 non-integral
+        monkeypatch.setattr(shuffle, "c_e_alpha", lambda alpha: Fraction(1, 2))
+        with pytest.raises(IntegralityError):
+            coeff_closed_form((((1, 2), 1),))
+
+    def test_non_integral_coefficient_raises_under_O(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from ncbinom import shuffle\n"
+            "shuffle.c_e_alpha = lambda alpha: Fraction(1, 2)\n"
+            "try:\n"
+            "    shuffle.coeff_closed_form((((1, 2), 1),))\n"
+            "except shuffle.IntegralityError:\n"
+            "    raise SystemExit(3)\n")
+        src = str(Path(shuffle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 3, done.stderr.decode()
 
 
 class TestBinomialLS:
