@@ -13,7 +13,7 @@ from math import comb
 
 from .freepoly import FreePoly, commutator
 from .pbw import PBWPoly, enumerate_pbw_monomials, pbw_rewrite
-from .rings import factorial
+from .rings import exponent_vectors, factorial
 from .shuffle import coeff_closed_form, sh_pbw
 
 _X = FreePoly.letter(1, 2)
@@ -168,7 +168,7 @@ def classical_bell_formula(n: int) -> PBWPoly:
     decreasing product E_2^{k_1} E_12^{k_2} E_112^{k_3} ...
     """
     terms = {}
-    for ks in _weighted_partitions(n, n):
+    for ks in exponent_vectors(n, range(1, n + 1)):
         coeff = factorial(n)
         mono = []
         for i, ki in enumerate(ks, start=1):
@@ -179,24 +179,3 @@ def classical_bell_formula(n: int) -> PBWPoly:
         terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
     return PBWPoly(terms, 2)
 
-
-def _weighted_partitions(n: int, parts: int):
-    """Tuples (k_1..k_parts) with sum i*k_i = n."""
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    # choose k_parts last so omega-words come out largest-first elsewhere
-    for k1 in range(n + 1):
-        for rest in _weighted_partitions2(n - k1, 2, parts):
-            yield (k1,) + rest
-
-
-def _weighted_partitions2(n: int, start: int, parts: int):
-    if start > parts:
-        if n == 0:
-            yield ()
-        return
-    for k in range(n // start + 1):
-        for rest in _weighted_partitions2(n - start * k, start + 1, parts):
-            yield (k,) + rest

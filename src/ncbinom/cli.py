@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from . import qsigma, quotients, verify
 from .bell import bell_dual, bell_partial
-from .emit import emit, emit_json, parse_json
+from .emit import emit, parse_json
 from .freepoly import FreePoly
 from .pbw import pbw_rewrite, reduce_mod_p
 from .rings import _is_prime
-from .shuffle import binomial_ls, sh_closed_form, sh_pbw_char_p
+from .shuffle import binomial_ls, sh_closed_form, sh_pbw_char_p, sh_word
 from .words import (cfl_factorize, format_word, is_lyndon, lyndon_enumerate,
                     parse_word, standard_factorization)
 
@@ -160,7 +160,11 @@ def _parse_ring(spec: str, modular: bool):
     if not modular:
         raise UsageError(f"--ring {spec!r} is not supported by this command; it takes only Q")
     digits = spec[3:] if spec.startswith("GF:") else ""
-    if not (digits.isdigit() and _is_prime(int(digits))):
+    try:
+        prime = digits.isdigit() and _is_prime(int(digits))
+    except ValueError as e:
+        raise UsageError(f"bad --ring {spec!r}: {e}")
+    if not prime:
         raise UsageError(f"bad --ring {spec!r}; expected Q or GF:p with p prime")
     return int(digits)
 
@@ -221,23 +225,17 @@ def cmd_sh(args):
     if len(counts) < 2:
         raise UsageError("need at least two counts")
     _degree_guard(sum(counts), args.max_degree)
-    m = len(counts)
     p = args.modulus
     if p is not None:
-        if m != 2 or sum(counts) != p:
-            raise UsageError("GF:p shuffle display expects two counts summing to p")
+        if not args.pbw:
+            raise UsageError("--ring GF:p shows only the PBW form; add --pbw")
+        if len(counts) != 2 or sum(counts) != p or 0 in counts:
+            raise UsageError("GF:p shuffle display expects two positive counts summing to p")
         _print_poly(sh_pbw_char_p(counts[0], p), args.format)
-        return 0
-    poly = sh_closed_form(counts, m)
-    if args.pbw:
-        _print_poly(poly, args.format)
+    elif args.pbw:
+        _print_poly(sh_closed_form(counts), args.format)
     else:
-        from .freepoly import sh_multidegree
-        if m == 2:
-            word_form = sh_multidegree((counts[1], counts[0]), 2)
-        else:
-            word_form = sh_multidegree(counts, m)
-        _print_poly(word_form, args.format)
+        _print_poly(sh_word(counts), args.format)
     return 0
 
 
@@ -284,10 +282,6 @@ def cmd_qbell(args):
     return 0
 
 
-def _fmt_qpoly(c):
-    return str(c)
-
-
 def cmd_quotient(args):
     if args.model in ("blumen", "qcomm-bell") and args.format != "text":
         raise UsageError(f"quotient {args.model} has only text output")
@@ -302,7 +296,7 @@ def cmd_quotient(args):
             raise UsageError("quotient blumen needs --n")
         _degree_guard(args.n, args.max_degree)
         for (r, s, t), c in sorted(quotients.blumen_binomial(args.n).items()):
-            print(f"y^{r} h^{s} x^{t}: {_fmt_qpoly(c)}")
+            print(f"y^{r} h^{s} x^{t}: {c}")
         return 0
     if args.model == "qcomm-bell":
         if args.n is None or args.k is None:
@@ -310,7 +304,7 @@ def cmd_quotient(args):
         _degree_guard(args.n, args.max_degree)
         for word, c in sorted(quotients.qcomm_bell(args.n, args.k).items()):
             mono = " ".join(f"d{i}" for i in word) or "1"
-            print(f"{mono}: {_fmt_qpoly(c)}")
+            print(f"{mono}: {c}")
         return 0
     if args.model == "kill":
         if not args.set or args.expr is None:

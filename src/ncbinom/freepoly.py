@@ -7,30 +7,21 @@ are never stored.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
+from .rings import ModInt, QPoly
 from .words import Word
 
-_SCALARS = (int,)
+_SCALARS = (int, Fraction, QPoly, ModInt)
 
 
-def _register_scalar(cls):
-    global _SCALARS
-    if cls not in _SCALARS:
-        _SCALARS = _SCALARS + (cls,)
+class SparseCombination:
+    """Finitely supported map key -> coefficient over a fixed alphabet size.
 
-
-from fractions import Fraction  # noqa: E402
-
-from .rings import ModInt, QPoly  # noqa: E402
-
-_register_scalar(Fraction)
-_register_scalar(QPoly)
-_register_scalar(ModInt)
-
-
-class FreePoly:
-    """Finitely supported map word -> coefficient over a fixed alphabet size."""
+    The shared linear structure of the word basis (``FreePoly``) and the PBW
+    basis (``PBWPoly``).  Equality is by class, since both key the unit by ().
+    """
 
     __slots__ = ("terms", "m")
 
@@ -43,11 +34,62 @@ class FreePoly:
                     t[w] = c
         self.terms = t
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, m: int = 2):
+        return cls({}, m)
 
-    @staticmethod
-    def zero(m: int = 2) -> "FreePoly":
-        return FreePoly({}, m)
+    def _check(self, other):
+        if self.m != other.m:
+            raise ValueError("alphabet mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            t[w] = t[w] + c if w in t else c
+        return type(self)(t, self.m)
+
+    def __sub__(self, other):
+        self._check(other)
+        t = dict(self.terms)
+        for w, c in other.terms.items():
+            t[w] = t[w] - c if w in t else -c
+        return type(self)(t, self.m)
+
+    def __neg__(self):
+        return type(self)({w: -c for w, c in self.terms.items()}, self.m)
+
+    def scale(self, c):
+        return type(self)({w: c * x for w, x in self.terms.items()}, self.m)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.m != other.m:
+            return False
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(self.terms[w] == other.terms[w] for w in self.terms)
+
+    def __hash__(self):
+        return hash((self.m, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coeff(self, key):
+        return self.terms.get(key, 0)
+
+    def map_coeffs(self, fn):
+        return type(self)({w: fn(c) for w, c in self.terms.items()}, self.m)
+
+
+class FreePoly(SparseCombination):
+    """Sparse combination of words: the free algebra with its product."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def unit(m: int = 2, one=1) -> "FreePoly":
@@ -68,27 +110,6 @@ class FreePoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "FreePoly"):
-        if self.m != other.m:
-            raise ValueError("alphabet mismatch")
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t[w] + c if w in t else c
-        return FreePoly(t, self.m)
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t[w] - c if w in t else -c
-        return FreePoly(t, self.m)
-
-    def __neg__(self) -> "FreePoly":
-        return FreePoly({w: -c for w, c in self.terms.items()}, self.m)
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
@@ -106,9 +127,6 @@ class FreePoly:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c) -> "FreePoly":
-        return FreePoly({w: c * x for w, x in self.terms.items()}, self.m)
-
     def __pow__(self, n: int) -> "FreePoly":
         if n < 0:
             raise ValueError("negative power")
@@ -116,30 +134,6 @@ class FreePoly:
         for _ in range(n):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        if self.m != other.m:
-            return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, w: Word):
-        return self.terms.get(w, 0)
-
-    def map_coeffs(self, fn) -> "FreePoly":
-        return FreePoly({w: fn(c) for w, c in self.terms.items()}, self.m)
-
-    def homogeneous_part(self, degree: int) -> "FreePoly":
-        return FreePoly({w: c for w, c in self.terms.items() if len(w) == degree}, self.m)
 
     def __repr__(self):
         if not self.terms:

@@ -7,8 +7,8 @@ from __future__ import annotations
 from math import comb
 
 from .freepoly import FreePoly, sh_multidegree
-from .rings import (DivisionNotExact, QPoly, cyclotomic, q_binomial,
-                    qpoly_exact_div)
+from .rings import (DivisionNotExact, QPoly, cyclotomic, exponent_vectors,
+                    q_binomial, qpoly_exact_div)
 
 # alphabet convention: letter 1 = g, letter 2 = h
 _G, _H = 1, 2
@@ -19,19 +19,10 @@ def a_word(k: int):
     return (_G,) + (_H,) * k
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def faa_composition_sum(m: int, n: int) -> FreePoly:
     """Sum of a_{i_0} a_{i_1} ... a_{i_n} over compositions i_0+...+i_n = m."""
     out = FreePoly.zero(2)
-    for comp in _compositions(m, n + 1):
+    for comp in exponent_vectors(m, (1,) * (n + 1)):
         w = ()
         for i in comp:
             w += a_word(i)

@@ -3,9 +3,9 @@
 A PBW monomial is a tuple of (lyndon_word, exponent) pairs with the words
 strictly decreasing; the empty tuple is the unit.  ``pbw_rewrite`` expresses
 any free polynomial with rational coefficients in this basis by eliminating
-the lex-minimal word of each homogeneous component; the triangularity that
-drives termination is itself a tested property, with an exact linear solve
-as fallback.
+the lex-minimal word of each homogeneous component.  That elimination relies
+on triangularity (the least word of an expanded monomial has coefficient 1);
+the property is tested, and a violation raises instead of looping.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .freepoly import FreePoly, commutator
-from .rings import ModInt, QPoly
+from .freepoly import FreePoly, SparseCombination, commutator
+from .rings import to_mod_p
 from .words import (Word, cfl_factorize, is_lyndon, multidegree,
                     standard_factorization)
 
@@ -98,60 +98,14 @@ def pbw_expand_monomial(mono: PBWMonomial, m: int = 2) -> FreePoly:
     return result
 
 
-class PBWPoly:
-    """Finitely supported map PBWMonomial -> coefficient."""
+class PBWPoly(SparseCombination):
+    """Sparse combination of PBW monomials."""
 
-    __slots__ = ("terms", "m")
-
-    def __init__(self, terms=None, m: int = 2):
-        self.m = m
-        t = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    t[mono] = c
-        self.terms = t
-
-    @staticmethod
-    def zero(m: int = 2) -> "PBWPoly":
-        return PBWPoly({}, m)
+    __slots__ = ()
 
     @staticmethod
     def monomial(mono: PBWMonomial, m: int = 2, coeff=1) -> "PBWPoly":
         return PBWPoly({validate_monomial(mono): coeff}, m)
-
-    def __add__(self, other: "PBWPoly") -> "PBWPoly":
-        if self.m != other.m:
-            raise ValueError("alphabet mismatch")
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            t[mono] = t[mono] + c if mono in t else c
-        return PBWPoly(t, self.m)
-
-    def __sub__(self, other: "PBWPoly") -> "PBWPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PBWPoly":
-        return PBWPoly({mono: c * x for mono, x in self.terms.items()}, self.m)
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWPoly):
-            return NotImplemented
-        if self.m != other.m or self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, mono: PBWMonomial):
-        return self.terms.get(mono, 0)
-
-    def map_coeffs(self, fn) -> "PBWPoly":
-        return PBWPoly({mono: fn(c) for mono, c in self.terms.items()}, self.m)
 
     def expand(self) -> FreePoly:
         out = FreePoly.zero(self.m)
@@ -208,14 +162,9 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
             out[mono] = out.get(mono, 0) + c
             expansion = pbw_expand_monomial(mono, m)
             if expansion.coeff(w) != 1:
-                # triangularity failed; should be unreachable, but the PBW
-                # property guarantees the linear solve below always works
-                comp[w] = c
-                out_part = _rewrite_component_by_solve(comp, m)
-                for mo, cc in out_part.items():
-                    out[mo] = out.get(mo, 0) + cc
-                comp = {}
-                break
+                raise ArithmeticError(
+                    f"expansion of {mono} has coefficient {expansion.coeff(w)} at its "
+                    f"least word {w}, not 1; the PBW basis is not triangular")
             for u, a in expansion.terms.items():
                 if u == w:
                     continue
@@ -250,71 +199,9 @@ def enumerate_pbw_monomials(m: int, counts):
         w[i + 1:] = reversed(w[i + 1:])
 
 
-def _rewrite_component_by_solve(comp, m):
-    """Exact linear solve of one homogeneous component in the PBW basis.
-
-    Fallback path: the PBW property guarantees a unique solution even if the
-    triangular elimination were ever to fail.
-    """
-    some_word = next(iter(comp))
-    counts = multidegree(some_word, m)
-    monos = enumerate_pbw_monomials(m, counts)
-    words = sorted({w for mono in monos for w in pbw_expand_monomial(mono, m).terms}
-                   | set(comp))
-    widx = {w: i for i, w in enumerate(words)}
-    # columns: monomials; rows: words
-    cols = []
-    for mono in monos:
-        exp = pbw_expand_monomial(mono, m)
-        col = [Fraction(0)] * len(words)
-        for w, c in exp.terms.items():
-            col[widx[w]] = Fraction(c)
-        cols.append(col)
-    rhs = [Fraction(0)] * len(words)
-    for w, c in comp.items():
-        rhs[widx[w]] = Fraction(c)
-    sol = _solve_exact(cols, rhs)
-    return {mono: c for mono, c in zip(monos, sol) if c}
-
-
-def _solve_exact(cols, rhs):
-    """Solve A x = rhs where A is given by columns, over the rationals."""
-    ncols = len(cols)
-    nrows = len(rhs)
-    aug = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            raise ArithmeticError("inconsistent system; PBW basis violated")
-    sol = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][ncols]
-    return sol
-
-
 def reduce_mod_p(p_poly: PBWPoly, p: int) -> PBWPoly:
     """Reduce rational PBW coefficients mod p (denominators must be units)."""
-    def red(c):
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator of {c} is not invertible mod {p}")
-        inv = pow(c.denominator, -1, p)
-        return ModInt(c.numerator * inv, p)
-    return p_poly.map_coeffs(red)
+    return p_poly.map_coeffs(lambda c: to_mod_p(c, p))
 
 
 def commutator_ls(alpha: Word, beta: Word, m: int = 2) -> PBWPoly:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from math import comb
 
-from .bell import bell_partial_word, bell_word
+from .bell import bell_word
 from .freepoly import FreePoly
 from .rings import QPoly, q_binomial
 
@@ -141,10 +142,6 @@ class OpCompose(Operator):
         return self.a(self.b(f))
 
 
-def apply_operator(op: Operator, f: FreePoly) -> FreePoly:
-    return op(f)
-
-
 def check_sigma_derivation(delta: Operator, sigma: Operator, m: int = 2,
                            trials: int = 20, max_len: int = 3, seed: int = 7):
     """Property-test delta(uv) = delta(u)v + sigma(u)delta(v) on random words."""
@@ -157,26 +154,37 @@ def check_sigma_derivation(delta: Operator, sigma: Operator, m: int = 2,
                 f"Leibniz law failed on {u!r}, {v!r}")
 
 
+def _sh_hat_rows(widths, step: Operator, sigma: Operator, seed: FreePoly):
+    """Rows of v[i][j] = sigma(v[i][j-1]) + step(v[i-1][j]), one per width.
+
+    v[0][j] = sigma^j(seed) and v[i][0] = step(v[i-1][0]); row i holds
+    widths[i] entries, and the widths must not increase.  v[k][j] is the
+    operator shuffle polynomial SH-hat_{k,j}(step, sigma) applied to seed.
+    """
+    row = [seed]
+    for _ in range(widths[0] - 1):
+        row.append(sigma(row[-1]))
+    yield row
+    for width in widths[1:]:
+        prev, row = row, [step(row[0])]
+        for j in range(1, width):
+            row.append(sigma(row[-1]) + step(prev[j]))
+        yield row
+
+
 def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Operator,
                  seed: FreePoly = None) -> FreePoly:
     """Value of the operator shuffle polynomial SH-hat_{k,j} on a seed element.
 
-    Built by the value-level recursion v[i][j] = sigma(v[i][j-1]) +
-    (ad_sigma x + y)(v[i-1][j]); defaults to seed = 1.
+    The step operator is ad_sigma x + y; defaults to seed = 1.
     """
-    m = x.m
+    if k < 0 or j < 0:
+        raise ValueError("negative index")
     if seed is None:
-        seed = FreePoly.unit(m)
-    d0 = AdSigma(x, sigma) + LeftMul(y)
-    prev_row = [seed]
-    for jj in range(1, j + 1):
-        prev_row.append(sigma(prev_row[-1]))
-    for i in range(1, k + 1):
-        row = [d0(prev_row[0])]
-        for jj in range(1, j + 1):
-            row.append(sigma(row[-1]) + d0(prev_row[jj]))
-        prev_row = row
-    return prev_row[j]
+        seed = FreePoly.unit(x.m)
+    for row in _sh_hat_rows([j + 1] * (k + 1), AdSigma(x, sigma) + LeftMul(y), sigma, seed):
+        pass
+    return row[j]
 
 
 def theorem_b_verify(n: int, sigma: Operator) -> bool:
@@ -321,28 +329,16 @@ def ore_binomial(n: int, sigma: Operator, delta: Operator, m: int = 2):
 
     delta's sigma-Leibniz law is property-tested first.
     """
+    if n < 0:
+        raise ValueError("negative power")
     check_sigma_derivation(delta, sigma, m)
-    x = FreePoly.letter(1, m)
-    y = FreePoly.letter(2, m)
-    step = delta + LeftMul(y)
-    coeffs = []
-    for k in range(n + 1):
-        # same DP as sh_hat_apply but with an arbitrary step operator
-        prev_row = [FreePoly.unit(m)]
-        for _ in range(n - k):
-            prev_row.append(sigma(prev_row[-1]))
-        for _ in range(k):
-            row = [step(prev_row[0])]
-            for jj in range(1, n - k + 1):
-                row.append(sigma(row[-1]) + step(prev_row[jj]))
-            prev_row = row
-        coeffs.append(prev_row[n - k])
-    return coeffs
+    step = delta + LeftMul(FreePoly.letter(2, m))
+    rows = _sh_hat_rows(range(n + 1, 0, -1), step, sigma, FreePoly.unit(m))
+    return [row[n - k] for k, row in enumerate(rows)]
 
 
 def bell_compare_sigma_id(n: int) -> bool:
     """With sigma = id: SH-hat_{k,n-k}(1) = binom(n,k) * (ad x + y)^k(1)."""
-    from math import comb
     x = FreePoly.letter(1, 2)
     y = FreePoly.letter(2, 2)
     sigma = IdentityOp()

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .freepoly import FreePoly
 from .pbw import PBWPoly, commutator_ls, pbw_rewrite
-from .rings import (DivisionNotExact, QPoly, q_binomial, q_factorial,
+from .rings import (QPoly, exponent_vectors, q_binomial, q_factorial,
                     q_integer, qpoly_exact_div)
 from .words import is_lyndon, lyndon_enumerate
 
@@ -208,19 +208,6 @@ def qcomm_multinomial(ts) -> QPoly:
     return qpoly_exact_div(num, den)
 
 
-def _exponent_solutions(n, k, max_sym):
-    """All (t_1..t_max_sym) with sum t_i = k and sum i*t_i = n."""
-    def rec(i, rem_k, rem_n):
-        if i > max_sym:
-            if rem_k == 0 and rem_n == 0:
-                yield ()
-            return
-        for t in range(min(rem_k, rem_n // i) + 1):
-            for rest in rec(i + 1, rem_k - t, rem_n - i * t):
-                yield (t,) + rest
-    return rec(1, k, n)
-
-
 def qcomm_bell_closed(n: int, k: int):
     """Route B: the closed q-multinomial form, same key convention as route A."""
     if n == 0 and k == 0:
@@ -228,7 +215,7 @@ def qcomm_bell_closed(n: int, k: int):
     if k == 0 or k > n:
         return {}
     out = {}
-    for ts in _exponent_solutions(n, k, n - k + 1):
+    for ts in exponent_vectors(n, range(1, n - k + 2), k):
         word = tuple(i for i, t in enumerate(ts, start=1) for _ in range(t))
         out[word] = qcomm_multinomial(ts)
     return out
@@ -260,7 +247,7 @@ def qcomm_binomial(n: int):
     out = {}
     for t in range(n + 1):
         k = n - t
-        for ts in _qcomm_all(k):
+        for ts in exponent_vectors(k, range(1, k + 1)):
             word = tuple(i for i, ti in enumerate(ts, start=1) for _ in range(ti))
             num = q_factorial(n)
             den = q_factorial(t)
@@ -273,22 +260,6 @@ def qcomm_binomial(n: int):
         expected = q_binomial(n, k) * qcomm_bell_full(k).get(word, QPoly.zero())
         assert c == expected, f"binomial/Bell mismatch at {(word, t)}"
     return out
-
-
-def _qcomm_all(k):
-    """All exponent tuples with weighted sum k (any number of parts up to k)."""
-    if k == 0:
-        yield ()
-        return
-    def rec(i, rem):
-        if i > k:
-            if rem == 0:
-                yield ()
-            return
-        for t in range(rem // i + 1):
-            for rest in rec(i + 1, rem - i * t):
-                yield (t,) + rest
-    yield from rec(1, k)
 
 
 # -- Blumen quotient ---------------------------------------------------------

@@ -17,20 +17,44 @@ class DivisionNotExact(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
+    if p >= _MR_BOUND:
+        raise ValueError(f"modulus {p} is too large: primality is certified "
+                         f"only below {_MR_BOUND}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def to_mod_p(c, p: int) -> "ModInt":
+    """Image of a rational c in GF(p); its denominator must be prime to p."""
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {c} is not invertible mod {p}")
+    return ModInt(c.numerator * pow(c.denominator, -1, p), p)
 
 
 class ModInt:
@@ -52,10 +76,7 @@ class ModInt:
         if isinstance(other, int):
             return ModInt(other, self.p)
         if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            inv = pow(other.denominator, -1, self.p)
-            return ModInt(other.numerator * inv, self.p)
+            return to_mod_p(other, self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -321,3 +342,20 @@ def cyclotomic(n: int) -> QPoly:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
+
+
+def exponent_vectors(n: int, weights, k: int = None):
+    """Tuples t, in lex order, with sum w_i * t_i = n over the given weights.
+
+    With k given, only those with sum t_i = k.  Weights all 1 give the
+    compositions of n; weights 1..n give the partitions of n by multiplicity.
+    """
+    if not weights:
+        if n == 0 and not k:
+            yield ()
+        return
+    w, rest = weights[0], weights[1:]
+    top = n // w if k is None else min(k, n // w)
+    for t in range(top + 1):
+        for tail in exponent_vectors(n - w * t, rest, None if k is None else k - t):
+            yield (t,) + tail

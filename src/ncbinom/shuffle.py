@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freepoly import sh_multidegree
+from .freepoly import FreePoly, sh_multidegree
 from .pbw import (PBWMonomial, PBWPoly, enumerate_pbw_monomials,
                   monomial_degree, monomial_from_word, pbw_rewrite,
                   reduce_mod_p)
-from .rings import factorial
+from .rings import exponent_vectors, factorial
 from .words import Word, is_lyndon
 
 
@@ -22,21 +22,27 @@ class IntegralityError(ArithmeticError):
     """An exact integer was expected; signals a broken invariant."""
 
 
-def sh_pbw(counts, m: int = None) -> PBWPoly:
-    """PBW form of the shuffle type polynomial with the given letter counts.
+def _letter_counts(counts, m):
+    """Per-letter counts of letters 1..m, and m, from an SH index.
 
-    For the binary alphabet pass (i, j) with i the count of letter 2 and j
-    the count of letter 1 (the index order used for SH_{i,j}).
+    A binary index (i, j) follows SH_{i,j}: i letters 2 and j letters 1.
+    Any other index lists the count of each letter 1..m in turn.
     """
     if m is None:
         m = len(counts)
     if m == 2 and len(counts) == 2:
-        i, j = counts
-        word_form = sh_multidegree((j, i), 2)
-    else:
-        # counts given per letter 1..m
-        word_form = sh_multidegree(tuple(counts), m)
-    return pbw_rewrite(word_form)
+        return (counts[1], counts[0]), m
+    return tuple(counts), m
+
+
+def sh_word(counts, m: int = None) -> FreePoly:
+    """Word form of the shuffle type polynomial with the given SH index."""
+    return sh_multidegree(*_letter_counts(counts, m))
+
+
+def sh_pbw(counts, m: int = None) -> PBWPoly:
+    """PBW form of the shuffle type polynomial, by rewriting its word form."""
+    return pbw_rewrite(sh_word(counts, m))
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +79,7 @@ def sh_closed_form(counts, m: int = None) -> PBWPoly:
     Independent of ``pbw_rewrite``; the equality of the two routes is the
     main verified identity.
     """
-    if m is None:
-        m = len(counts)
-    if m == 2 and len(counts) == 2:
-        i, j = counts
-        per_letter = (j, i)
-    else:
-        per_letter = tuple(counts)
+    per_letter, m = _letter_counts(counts, m)
     terms = {}
     for mono in enumerate_pbw_monomials(m, per_letter):
         c = coeff_closed_form(mono)
@@ -95,20 +95,11 @@ def binomial_ls(m: int, d: int) -> PBWPoly:
     if d < 0:
         raise ValueError("negative power")
     terms = {}
-    for counts in _compositions(d, m):
+    for counts in exponent_vectors(d, (1,) * m):
         part = sh_closed_form(counts, m)
         for mono, c in part.terms.items():
             terms[mono] = terms.get(mono, 0) + c
     return PBWPoly(terms, m)
-
-
-def _compositions(d: int, m: int):
-    if m == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, m - 1):
-            yield (first,) + rest
 
 
 class CharPViolation(AssertionError):

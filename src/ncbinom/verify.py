@@ -10,11 +10,9 @@ import importlib.resources
 import json
 import random
 from fractions import Fraction
-from math import comb
 
 from . import bell, identities, qsigma, quotients
 from .emit import emit_json
-from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
                   monomial_word, pbw_expand_monomial, pbw_rewrite)
 from .shuffle import sh_closed_form, sh_pbw, sh_pbw_char_p, CharPViolation

@@ -7,8 +7,6 @@ otherwise the first differing letter decides.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 Word = tuple  # tuple of ints in 1..m
 
 
@@ -18,13 +16,6 @@ class EmptyWord(ValueError):
 
 class NoFactorization(ValueError):
     pass
-
-
-def lex_compare(a: Word, b: Word) -> int:
-    """-1 if a < b, 0 if equal, 1 if a > b (lexicographic)."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
 
 
 def is_lyndon(w: Word) -> bool:
@@ -87,11 +78,6 @@ def lyndon_enumerate(m: int, max_len: int):
         if w:
             w[-1] += 1
     return out
-
-
-@lru_cache(maxsize=None)
-def lyndon_words_of_length(m: int, length: int):
-    return tuple(w for w in lyndon_enumerate(m, length) if len(w) == length)
 
 
 def multidegree(w: Word, m: int):

@@ -1,11 +1,13 @@
 import json
 import random
+import time
 
 import pytest
 
 from ncbinom.cli import UsageError, main, parse_expression
 from ncbinom.emit import emit_json, parse_json
 from ncbinom.freepoly import FreePoly
+from ncbinom.rings import _is_prime
 
 
 def run(capsys, *argv):
@@ -198,6 +200,10 @@ class TestExitCodes:
         ("pbw", "--expr", "1/2*E(1)", "--ring", "GF:2"),
         ("pbw", "--expr", "1/0*E(1)"),
         ("pbw", "--expr", "E(111111111111)"),
+        ("sh", "--degree", "2,3", "--ring", "GF:5"),
+        ("sh", "--degree", "0,5", "--pbw", "--ring", "GF:5"),
+        ("binom", "--degree", "2", "--ring", "GF:3317044064679887385961981"),
+        ("binom", "--degree", "2", "--ring", "GF:" + "7" * 5000),
     ])
     def test_domain_errors_are_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -222,6 +228,14 @@ class TestExitCodes:
         code, out, _ = run(capsys, "binom", "--degree", "3", "--ring", "GF:3")
         assert code == 0
         assert out.strip() == "1*E(1)^3 + 1*E(112) + 1*E(122) + 1*E(2)^3"
+
+    def test_ring_gf_large_prime_is_fast(self, capsys):
+        _is_prime.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "binom", "--degree", "2", "--ring", "GF:2305843009213693951")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.strip() == "1*E(1)^2 + 1*E(12) + 2*E(2)*E(1) + 1*E(2)^2"
 
     def test_internal_errors_are_not_masked(self, monkeypatch):
         from ncbinom import cli

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
+from pathlib import Path
 import warnings
 
 import pytest
 
+from ncbinom import pbw
 from ncbinom.freepoly import FreePoly, commutator
 from ncbinom.pbw import (OrderViolation, PBWPoly, UnsupportedRing,
                          commutator_ls, enumerate_pbw_monomials,
@@ -256,3 +261,31 @@ class TestErrors:
         f = FreePoly({(2, 1): ModInt(1, 5)}, 2)
         with pytest.raises(UnsupportedRing):
             pbw_rewrite(f)
+
+    def test_non_triangular_expansion_raises(self, monkeypatch):
+        # E_12 expanded to 2*12 - 21: its least word no longer has coefficient 1
+        monkeypatch.setattr(pbw, "pbw_expand_monomial",
+                            lambda mono, m=2: FreePoly({(1, 2): 2, (2, 1): -1}, m))
+        with pytest.raises(ArithmeticError, match=r"\(1, 2\)"):
+            pbw_rewrite(FreePoly.word((1, 2)))
+
+    def test_non_triangular_expansion_raises_under_O(self):
+        script = (
+            "from ncbinom import pbw\n"
+            "from ncbinom.freepoly import FreePoly\n"
+            "pbw.pbw_expand_monomial = lambda mono, m=2: FreePoly({(1, 2): 2, (2, 1): -1}, m)\n"
+            "try:\n"
+            "    pbw.pbw_rewrite(FreePoly.word((1, 2)))\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(3)\n")
+        src = str(Path(pbw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 3, done.stderr.decode()
+
+    def test_equality_is_by_class(self):
+        # both bases key the unit by (), yet a word never equals a PBW monomial
+        assert FreePoly.unit(2) != PBWPoly.monomial((), 2)
+        assert PBWPoly.monomial((), 2) != FreePoly.unit(2)
+        assert FreePoly.unit(2).terms == PBWPoly.monomial((), 2).terms

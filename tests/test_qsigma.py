@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from ncbinom.freepoly import FreePoly
@@ -129,6 +131,19 @@ class TestOre:
             coeffs = ore_binomial(n, sigma, delta)
             for k, c in enumerate(coeffs):
                 assert c == sh_hat_apply(k, n - k, X, Y, sigma)
+
+    def test_sigma_identity_gives_bell_polynomials(self):
+        # sigma = id, delta = ad x: coefficient k is C(n,k) (ad x + y)^k (1)
+        for n in range(7):
+            coeffs = ore_binomial(n, IdentityOp(), AdSigma(X, IdentityOp()))
+            assert coeffs == [bell_word(k).scale(comb(n, k)) for k in range(n + 1)]
+
+    def test_negative_indices_rejected(self):
+        with pytest.raises(ValueError):
+            ore_binomial(-1, IdentityOp(), AdSigma(X, IdentityOp()))
+        for k, j in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                sh_hat_apply(k, j, X, Y, IdentityOp())
 
     def test_rejects_non_derivation(self):
         with pytest.raises(NotASigmaDerivation):
