@@ -4,14 +4,16 @@ A PBW monomial is a tuple of (lyndon_word, exponent) pairs with the words
 strictly decreasing; the empty tuple is the unit.  ``pbw_rewrite`` expresses
 any free polynomial with rational coefficients in this basis by eliminating
 the lex-minimal word of each homogeneous component.  That elimination relies
-on triangularity (the least word of an expanded monomial has coefficient 1);
-the property is tested, and a violation raises instead of looping.
+on triangularity (the least word of an expanded monomial has coefficient 1),
+so after clearing the common denominator it runs over the integers and never
+divides; the property is tested, and a violation raises instead of looping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .freepoly import FreePoly, SparseCombination, commutator
 from .rings import to_mod_p
@@ -27,6 +29,11 @@ class OrderViolation(ValueError):
 
 class UnsupportedRing(TypeError):
     pass
+
+
+class InvariantError(AssertionError):
+    """A checked postcondition failed.  Raised explicitly, so ``python -O``
+    keeps the check; an ``AssertionError`` so verify suites report it."""
 
 
 @lru_cache(maxsize=None)
@@ -133,45 +140,49 @@ def pbw_expand(p) -> FreePoly:
     return pbw_expand_monomial(p)
 
 
-def _rational_ok(c):
-    return isinstance(c, (int, Fraction))
-
-
 def pbw_rewrite(f: FreePoly) -> PBWPoly:
     """Express f in the PBW basis; exact inverse of expansion.
 
     Works per homogeneous multidegree component, repeatedly eliminating the
     lex-minimal word via the monomial read off from its CFL factorization.
     Coefficients must be rational (char-p results are reduced afterwards).
+    They are scaled by the least common multiple L of their denominators and
+    eliminated as integers: the eliminated word has coefficient 1 in its
+    expansion, so no step divides.  The result is divided by L at the end;
+    integer input gives integer coefficients.
     """
+    denom = 1
     for c in f.terms.values():
-        if not _rational_ok(c):
+        if isinstance(c, Fraction):
+            denom = lcm(denom, c.denominator)
+        elif not isinstance(c, int):
             raise UnsupportedRing(f"pbw_rewrite needs rational coefficients, got {type(c).__name__}")
     m = f.m
     components = {}
     for w, c in f.terms.items():
-        components.setdefault(multidegree(w, m), {})[w] = Fraction(c)
+        components.setdefault(multidegree(w, m), {})[w] = int(c * denom)
     out = {}
     for comp in components.values():
         while comp:
             w = min(comp)
             c = comp.pop(w)
-            if c == 0:
-                continue
             mono = monomial_from_word(w)
             out[mono] = out.get(mono, 0) + c
-            expansion = pbw_expand_monomial(mono, m)
-            if expansion.coeff(w) != 1:
+            expansion = pbw_expand_monomial(mono, m).terms
+            if expansion.get(w) != 1:
                 raise ArithmeticError(
-                    f"expansion of {mono} has coefficient {expansion.coeff(w)} at its "
+                    f"expansion of {mono} has coefficient {expansion.get(w, 0)} at its "
                     f"least word {w}, not 1; the PBW basis is not triangular")
-            for u, a in expansion.terms.items():
-                if u == w:
-                    continue
-                comp[u] = comp.get(u, Fraction(0)) - c * a
-                if comp[u] == 0:
-                    del comp[u]
-    return PBWPoly({mono: c for mono, c in out.items() if c}, m)
+            for u, a in expansion.items():
+                if u != w:
+                    r = comp.get(u, 0) - c * a
+                    if r:
+                        comp[u] = r
+                    else:
+                        del comp[u]
+    if denom != 1:
+        out = {mono: Fraction(c, denom) for mono, c in out.items()}
+    return PBWPoly(out, m)
 
 
 def enumerate_pbw_monomials(m: int, counts):
@@ -210,7 +221,7 @@ def commutator_ls(alpha: Word, beta: Word, m: int = 2) -> PBWPoly:
     The structural facts about the result (single E_gamma factors with
     alpha*beta <= gamma < beta and matching multidegree; or exactly
     E_{alpha beta} when alpha is a letter or its right factor dominates beta)
-    are asserted as postconditions.
+    are checked as postconditions and raise ``InvariantError``.
     """
     if not (is_lyndon(alpha) and is_lyndon(beta)):
         raise ValueError("both arguments must be Lyndon words")
@@ -220,14 +231,18 @@ def commutator_ls(alpha: Word, beta: Word, m: int = 2) -> PBWPoly:
     ab = alpha + beta
     simple_case = len(alpha) == 1 or standard_factorization(alpha)[1] >= beta
     if simple_case:
-        assert result == PBWPoly.monomial(((ab, 1),), m), \
-            f"[E_{alpha}, E_{beta}] expected E_{ab}, got {result!r}"
-    else:
-        want_counts = multidegree(ab, m)
-        assert result.coeff(((ab, 1),)), "coefficient of E_{alpha beta} vanished"
-        for mono in result.terms:
-            assert len(mono) == 1 and mono[0][1] == 1, f"non-Lie monomial {mono}"
-            gamma = mono[0][0]
-            assert ab <= gamma < beta, f"gamma {gamma} out of range"
-            assert multidegree(gamma, m) == want_counts, "multidegree mismatch"
+        if result != PBWPoly.monomial(((ab, 1),), m):
+            raise InvariantError(f"[E_{alpha}, E_{beta}] expected E_{ab}, got {result!r}")
+        return result
+    if not result.coeff(((ab, 1),)):
+        raise InvariantError(f"coefficient of E_{ab} vanished in [E_{alpha}, E_{beta}]")
+    want_counts = multidegree(ab, m)
+    for mono in result.terms:
+        if not (len(mono) == 1 and mono[0][1] == 1):
+            raise InvariantError(f"non-Lie monomial {mono} in [E_{alpha}, E_{beta}]")
+        gamma = mono[0][0]
+        if not ab <= gamma < beta:
+            raise InvariantError(f"gamma {gamma} out of range in [E_{alpha}, E_{beta}]")
+        if multidegree(gamma, m) != want_counts:
+            raise InvariantError(f"multidegree mismatch at {gamma} in [E_{alpha}, E_{beta}]")
     return result

@@ -10,9 +10,11 @@ import importlib.resources
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 from . import bell, identities, qsigma, quotients
 from .emit import emit_json
+from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
                   monomial_word, pbw_expand_monomial, pbw_rewrite)
 from .shuffle import sh_closed_form, sh_pbw, sh_pbw_char_p, CharPViolation
@@ -102,7 +104,7 @@ def verify_commutators(max_total: int = 8):
     for alpha in lyndons:
         for beta in lyndons:
             if alpha < beta and len(alpha) + len(beta) <= max_total:
-                commutator_ls(alpha, beta)  # postconditions asserted inside
+                commutator_ls(alpha, beta)  # raises InvariantError on a failed postcondition
                 checked += 1
     return True, f"{checked} bracket pairs"
 
@@ -174,10 +176,36 @@ def verify_qcomm(max_n: int = 8):
     return True, f"{pairs} (n,k) pairs"
 
 
+def _weyl_mismatch(max_d: int):
+    """First d <= max_d where weyl_binomial(d) disagrees with the killed free
+    expansion of (E_1 + E_2)^d or with the half-h binomial formula, else None."""
+    gens = [(1, 1, 2), (1, 2, 2)]
+    killed = quotients.lie_ideal_closure(gens, max_d, 2) if max_d >= 3 else set()
+    step = FreePoly.letter(1, 2) + FreePoly.letter(2, 2)
+    power = FreePoly.unit(2)
+    for d in range(max_d + 1):
+        closed = quotients.weyl_binomial(d)
+        if closed != quotients.kill_project(pbw_rewrite(power), killed):
+            return f"Weyl closed form disagrees with killed expansion at d={d}"
+        # Heisenberg-Weyl form: n!/(j! i! (n-2j-i)!) (h/2)^j y^i x^(n-2j-i)
+        for j in range(d // 2 + 1):
+            for i in range(d - 2 * j + 1):
+                lhs = Fraction(factorial(d),
+                               factorial(j) * factorial(i) * factorial(d - 2 * j - i))
+                if lhs / 2 ** j != closed.coeff(quotients.weyl_monomial(i, j, d - 2 * j - i)):
+                    return f"half-h translation mismatch at d={d} (j={j}, i={i})"
+        power = power * step
+    return None
+
+
 def verify_blumen(max_n: int = 6, weyl_d: int = 8):
-    """Blumen rewriting vs closed form; q=1 collapse chain down to Weyl."""
+    """Blumen rewriting vs closed form; Weyl closed form vs killed expansion
+    and half-h form; q=1 collapse chain down to Weyl."""
     for n in range(max_n + 1):
         quotients.blumen_binomial(n)        # asserts closed form
+    mismatch = _weyl_mismatch(weyl_d)
+    if mismatch:
+        return False, mismatch
     for d in range(weyl_d + 1):
         if not quotients.blumen_weyl_compare(d):
             return False, f"q=1 Weyl comparison failed at d={d}"

@@ -12,10 +12,11 @@ import pytest
 
 from ncbinom import pbw
 from ncbinom.freepoly import FreePoly, commutator
-from ncbinom.pbw import (OrderViolation, PBWPoly, UnsupportedRing,
-                         commutator_ls, enumerate_pbw_monomials,
-                         ls_basis_element, monomial_from_word, monomial_word,
-                         pbw_expand, pbw_rewrite, validate_monomial)
+from ncbinom.pbw import (InvariantError, OrderViolation, PBWPoly,
+                         UnsupportedRing, commutator_ls,
+                         enumerate_pbw_monomials, ls_basis_element,
+                         monomial_from_word, monomial_word, pbw_expand,
+                         pbw_expand_monomial, pbw_rewrite, validate_monomial)
 from ncbinom.rings import ModInt
 from ncbinom.words import is_lyndon, lyndon_enumerate, multidegree
 
@@ -171,6 +172,83 @@ class TestRewrite:
                 assert monomial_multideg_eq(mono, w)
 
 
+def _fraction_rewrite(f):
+    """Oracle: the elimination carried out in Fraction arithmetic throughout."""
+    components = {}
+    for w, c in f.terms.items():
+        components.setdefault(multidegree(w, f.m), {})[w] = Fraction(c)
+    out = {}
+    for comp in components.values():
+        while comp:
+            w = min(comp)
+            c = comp.pop(w)
+            mono = monomial_from_word(w)
+            out[mono] = out.get(mono, 0) + c
+            for u, a in pbw_expand_monomial(mono, f.m).terms.items():
+                if u != w:
+                    comp[u] = comp.get(u, Fraction(0)) - c * a
+                    if comp[u] == 0:
+                        del comp[u]
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _random_free_poly(rng, m, max_len, coeff):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        w = tuple(rng.randint(1, m) for _ in range(rng.randint(0, max_len)))
+        terms[w] = coeff(rng)
+    return FreePoly(terms, m)
+
+
+_MIXED = (Fraction(1, 6), Fraction(3, 4), Fraction(-2, 5), Fraction(7, 9), 2, -3)
+
+
+def _mixed(rng):
+    return rng.choice(_MIXED) * rng.randint(-5, 5)
+
+
+def _huge_fraction(rng):
+    return Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 12))
+
+
+def _huge_int(rng):
+    return rng.randint(-10 ** 30, 10 ** 30)
+
+
+class TestIntegerElimination:
+    @pytest.mark.parametrize("m, max_len, coeff", [
+        (2, 7, _mixed), (3, 5, _mixed), (2, 6, _huge_fraction), (3, 4, _huge_fraction)])
+    def test_fraction_input_matches_fraction_oracle(self, m, max_len, coeff):
+        rng = random.Random(31 + m)
+        for _ in range(30):
+            f = _random_free_poly(rng, m, max_len, coeff)
+            got = pbw_rewrite(f)
+            assert got.terms == _fraction_rewrite(f)
+            assert pbw_expand(got) == f
+
+    @pytest.mark.parametrize("m, max_len", [(2, 7), (3, 5)])
+    def test_integer_input_stays_int(self, m, max_len):
+        rng = random.Random(41 + m)
+        for _ in range(30):
+            f = _random_free_poly(rng, m, max_len, _huge_int)
+            got = pbw_rewrite(f)
+            assert got.terms == _fraction_rewrite(f)
+            assert all(type(c) is int for c in got.terms.values())
+
+    def test_integral_fractions_come_back_as_int(self):
+        # a common denominator of 1 takes the integer path end to end
+        f = FreePoly({(1, 2): Fraction(4, 2), (2, 1): Fraction(-3)}, 2)
+        got = pbw_rewrite(f)
+        assert got.terms == {(((2,), 1), ((1,), 1)): -1, (((1, 2), 1),): 2}
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_cancelling_denominators_reduce(self):
+        # 1/6 * 12 + 1/3 * 21 = 1/6 E_12 + 1/2 E_2 E_1
+        f = FreePoly({(1, 2): Fraction(1, 6), (2, 1): Fraction(1, 3)}, 2)
+        got = pbw_rewrite(f)
+        assert got.terms == {(((1, 2), 1),): Fraction(1, 6), (((2,), 1), ((1,), 1)): Fraction(1, 2)}
+
+
 def monomial_multideg_eq(mono, w):
     total = []
     for a, t in mono:
@@ -226,6 +304,34 @@ class TestCommutatorLS:
                     term = term * ls_basis_element(x + beta * c)
                     rhs = rhs + term.scale(comb(t, c))
                 assert lhs == rhs
+
+    def test_failed_postcondition_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(pbw, "pbw_rewrite", lambda f: PBWPoly.zero(f.m))
+        with pytest.raises(InvariantError, match="expected E_"):
+            commutator_ls((1,), (2,))
+        with pytest.raises(InvariantError, match="vanished"):
+            commutator_ls((1, 1, 1, 2), (2,))
+
+    def test_failed_postcondition_fails_verify_under_O(self):
+        # doubling the brackets of total degree >= 6 leaves the worked
+        # examples (degrees 4 and 5) right, so only the postconditions of
+        # commutator_ls can catch it, and they must do so under -O
+        script = (
+            "import runpy, sys\n"
+            "from ncbinom import pbw\n"
+            "rewrite = pbw.pbw_rewrite\n"
+            "def doubled(f):\n"
+            "    p = rewrite(f)\n"
+            "    return p.scale(2) if max(map(len, f.terms)) >= 6 else p\n"
+            "pbw.pbw_rewrite = doubled\n"
+            "sys.argv = ['ncbinom', 'verify', 'commutators']\n"
+            "runpy.run_module('ncbinom.cli', run_name='__main__')\n")
+        src = str(Path(pbw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"commutators: FAIL" in done.stdout
 
     def test_spread_conjecture_nonfatal(self):
         # conjectured containment for the support of [E_a, E_b]: every

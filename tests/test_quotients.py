@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from ncbinom import pbw, quotients, verify
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import PBWPoly, pbw_rewrite
 from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
@@ -53,11 +58,44 @@ class TestWeyl:
         assert got.coeff((((1, 2), 1),)) == 1
         assert got.coeff((((1,), 2),)) == 1
 
-    def test_internal_assertions_up_to_8(self):
-        # the function cross-checks the closed form against the killed free
-        # expansion and the half-h translation internally
-        for d in range(9):
-            weyl_binomial(d)
+    def test_closed_form_computes_once(self, monkeypatch):
+        # the killed free expansion is the second route; weyl_binomial must
+        # agree with it without running it
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        want = kill_project(pbw_rewrite((x + y) ** 9),
+                            lie_ideal_closure([(1, 1, 2), (1, 2, 2)], 9))
+
+        def second_route(*args):
+            raise RuntimeError("second route called")
+        monkeypatch.setattr(quotients, "lie_ideal_closure", second_route)
+        monkeypatch.setattr(pbw, "pbw_rewrite", second_route)
+        monkeypatch.setattr(quotients, "pbw_rewrite", second_route, raising=False)
+        assert weyl_binomial(9) == want
+
+    def test_verify_blumen_catches_a_wrong_coefficient(self, monkeypatch):
+        monkeypatch.setattr(quotients, "weyl_binomial", _bumped_weyl_binomial)
+        ok, detail = verify.run_suite("blumen", 6)
+        assert not ok
+        assert "killed expansion" in detail
+
+    def test_verify_blumen_catches_a_wrong_coefficient_under_O(self):
+        script = (
+            "import runpy, sys\n"
+            "from ncbinom import quotients\n"
+            "from ncbinom.pbw import PBWPoly\n"
+            "weyl = quotients.weyl_binomial\n"
+            "def bumped(d):\n"
+            "    p = weyl(d)\n"
+            "    return p + PBWPoly.monomial((((1, 1, 2), 1),), 2) if d == 3 else p\n"
+            "quotients.weyl_binomial = bumped\n"
+            "sys.argv = ['ncbinom', 'verify', 'blumen']\n"
+            "runpy.run_module('ncbinom.cli', run_name='__main__')\n")
+        src = str(Path(quotients.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"blumen: FAIL" in done.stdout
 
     def test_coefficient_mass(self):
         # setting E_2 = E_1 = 1, E_12 = 0 recovers 2^d
@@ -65,6 +103,14 @@ class TestWeyl:
             total = sum(c for mono, c in weyl_binomial(d).terms.items()
                         if all(alpha != (1, 2) for alpha, _ in mono))
             assert total == 2 ** d
+
+
+def _bumped_weyl_binomial(d):
+    """weyl_binomial with the coefficient of the killed E_112 at d = 3 raised
+    from 0 to 1.  The q=1 Blumen comparison reads only E_2, E_12 and E_1, so
+    only the killed-expansion check can see this fault."""
+    p = weyl_binomial(d)
+    return p + PBWPoly.monomial((((1, 1, 2), 1),), 2) if d == 3 else p
 
 
 class TestQComm:
