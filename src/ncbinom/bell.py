@@ -82,9 +82,9 @@ def bell_dual(n: int, k: int) -> PBWPoly:
 
 
 def binomial_via_bell(n: int, dual: bool = False) -> FreePoly:
-    """Binomial expansion through the Bell recursion; equals (x+y)^n.
+    """Binomial expansion through the Bell recursion (Lemma 4.2).
 
-    The identity is asserted, so a silent recursion bug cannot escape.
+    ``verify lemma42`` checks that it equals (x+y)^n.
     """
     total = FreePoly.zero(2)
     for k in range(n + 1):
@@ -93,8 +93,6 @@ def binomial_via_bell(n: int, dual: bool = False) -> FreePoly:
         else:
             part = bell_word(k) * _X ** (n - k)
         total = total + part.scale(comb(n, k))
-    direct = (_X + _Y) ** n
-    assert total == direct, f"Bell binomial identity failed at n={n}"
     return total
 
 
@@ -148,7 +146,8 @@ def classical_bell_project(n: int) -> PBWPoly:
     """Bell polynomial with every monomial containing a factor of 2-count >= 2 killed.
 
     The survivors reproduce the classical Bell polynomial formula with
-    y -> E_2 and the m-th derivative -> E_{1...12}; that equality is asserted.
+    y -> E_2 and the m-th derivative -> E_{1...12}; ``verify lemma42`` checks
+    that against ``classical_bell_formula``.
     """
     full = pbw_rewrite(bell_word(n))
     projected = {}
@@ -156,9 +155,7 @@ def classical_bell_project(n: int) -> PBWPoly:
         if any(sum(1 for a in alpha if a == 2) >= 2 for alpha, _ in mono):
             continue
         projected[mono] = c
-    result = PBWPoly(projected, 2)
-    assert result == classical_bell_formula(n), f"classical Bell mismatch at n={n}"
-    return result
+    return PBWPoly(projected, 2)
 
 
 def classical_bell_formula(n: int) -> PBWPoly:

@@ -2,8 +2,11 @@
 
 Rationals are stdlib ``fractions.Fraction``.  ``ModInt`` gives GF(p) with the
 modulus carried on every element.  ``QPoly`` is a dense univariate polynomial
-in the formal parameter q over the rationals; it hosts q-integers,
-q-factorials and Gaussian binomials.  Everything is immutable and exact.
+in the formal parameter q; it hosts q-integers, q-factorials and Gaussian
+binomials.  Every q-object of the paper lies in Z[q], so ``QPoly`` keeps
+integral coefficients as ``int`` and uses ``Fraction`` only for a coefficient
+that is not an integer (parsed Q[q] input, say).  Floats are refused.
+Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -136,9 +139,26 @@ class ModInt:
         return str(self.value)
 
 
-class QPoly:
-    """Polynomial in q with Fraction coefficients, lowest degree first.
+def _exact_coeff(c):
+    """c as an exact QPoly coefficient: an int, or a Fraction that is not one.
 
+    A Fraction with denominator 1 becomes its numerator, so integral input
+    stays in Z[q].  Anything but an int or a Fraction raises TypeError.
+    """
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"QPoly coefficient must be int or Fraction, "
+                    f"not {type(c).__name__}")
+
+
+class QPoly:
+    """Polynomial in q with exact coefficients, lowest degree first.
+
+    Integral coefficients are stored as ``int``; a coefficient is a
+    ``Fraction`` only when it is not an integer.  ``Fraction(3) == 3`` and
+    both hash alike, so equality and hashing do not depend on the type.
     The coefficient tuple never has a trailing zero, so degree is
     ``len(coeffs) - 1`` and the zero polynomial has an empty tuple.
     """
@@ -146,14 +166,14 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly((Fraction(c),))
+        return QPoly((c,))
 
     @staticmethod
     def zero() -> "QPoly":
@@ -183,8 +203,8 @@ class QPoly:
         if o is NotImplemented:
             return o
         n = max(len(self.coeffs), len(o.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = o.coeffs + (Fraction(0),) * (n - len(o.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = o.coeffs + (0,) * (n - len(o.coeffs))
         return QPoly(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -207,7 +227,7 @@ class QPoly:
             return o
         if not self.coeffs or not o.coeffs:
             return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -252,7 +272,7 @@ class QPoly:
         """Substitute q -> q^k."""
         if not self.coeffs:
             return QPoly.zero()
-        out = [Fraction(0)] * (self.degree * k + 1)
+        out = [0] * (self.degree * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return QPoly(out)
@@ -305,7 +325,11 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 
 def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
-    """Return c with a = b*c exactly, or raise DivisionNotExact."""
+    """Return c with a = b*c exactly, or raise DivisionNotExact.
+
+    Each quotient coefficient is an integer division when the leading
+    coefficient of b divides exactly, and a Fraction otherwise.
+    """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -315,9 +339,11 @@ def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
     lead = b.coeffs[-1]
     if len(rem) - 1 < db:
         raise DivisionNotExact(f"deg {len(rem)-1} < deg {db}")
-    quot = [Fraction(0)] * (len(rem) - db)
+    quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] / lead
+        c, r = divmod(rem[i], lead)
+        if r:
+            c = Fraction(rem[i]) / lead
         quot[i - db] = c
         if c != 0:
             for j, bc in enumerate(b.coeffs):

@@ -17,6 +17,7 @@ from .emit import emit_json
 from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
                   monomial_word, pbw_expand_monomial, pbw_rewrite)
+from .rings import q_binomial
 from .shuffle import sh_closed_form, sh_pbw, sh_pbw_char_p, CharPViolation
 from .words import lyndon_enumerate
 
@@ -126,11 +127,17 @@ def verify_theorem_c(max_n: int = 7):
 
 def verify_lemma42(max_n: int = 7, classical_n: int = 6):
     """Both Bell binomial expansions equal (x+y)^n; classical projection."""
+    step = FreePoly.letter(1, 2) + FreePoly.letter(2, 2)
+    direct = FreePoly.unit(2)
     for n in range(max_n + 1):
-        bell.binomial_via_bell(n)           # asserts internally
-        bell.binomial_via_bell(n, dual=True)
+        if bell.binomial_via_bell(n) != direct:
+            return False, f"Bell binomial identity failed at n={n}"
+        if bell.binomial_via_bell(n, dual=True) != direct:
+            return False, f"dual Bell binomial identity failed at n={n}"
+        direct = direct * step
     for n in range(classical_n + 1):
-        bell.classical_bell_project(n)      # asserts internally
+        if bell.classical_bell_project(n) != bell.classical_bell_formula(n):
+            return False, f"classical Bell mismatch at n={n}"
     return True, f"n <= {max_n}, classical n <= {classical_n}"
 
 
@@ -158,21 +165,33 @@ def verify_qbell(max_n: int = 6):
             return False, f"q-binomial identity failed at n={n}"
         if qsigma.qbell_at_one(n) != bell.bell_word(n):
             return False, f"q=1 specialization failed at n={n}"
+        total = FreePoly.zero(2)
         for k in range(n + 1):
-            if qsigma.qbell_partial(n, k) != qsigma.qbell_partial_alt(n, k):
+            part = qsigma.qbell_partial(n, k)
+            if part != qsigma.qbell_partial_alt(n, k):
                 return False, f"alternative recursion mismatch at ({n},{k})"
+            total = total + part
+        if total != qsigma.qbell(n):
+            return False, f"partial q-Bell sum mismatch at n={n}"
     return True, f"n <= {max_n}"
 
 
 def verify_qcomm(max_n: int = 8):
-    """q-commutative Bell: recursion route equals closed q-multinomial route."""
+    """q-commutative Bell: recursion route equals closed q-multinomial route,
+    and the binomial closed form equals the q-binomial-weighted Bell sum."""
     pairs = 0
     for n in range(max_n + 1):
         for k in range(n + 1):
-            quotients.qcomm_bell(n, k)      # asserts route equality
+            if quotients.qcomm_bell_recursive(n, k) != quotients.qcomm_bell_closed(n, k):
+                return False, f"q-commutative Bell routes disagree at (n={n}, k={k})"
             pairs += 1
-    for n in range(min(max_n, 6) + 1):
-        quotients.qcomm_binomial(n)         # asserts Bell consistency
+    top = min(max_n, 6)
+    full = [quotients.qcomm_bell_full(k) for k in range(top + 1)]
+    for n in range(top + 1):
+        via_bell = {(word, n - k): q_binomial(n, k) * c
+                    for k in range(n + 1) for word, c in full[k].items()}
+        if quotients.qcomm_binomial(n) != via_bell:
+            return False, f"binomial/Bell mismatch at n={n}"
     return True, f"{pairs} (n,k) pairs"
 
 
@@ -202,7 +221,8 @@ def verify_blumen(max_n: int = 6, weyl_d: int = 8):
     """Blumen rewriting vs closed form; Weyl closed form vs killed expansion
     and half-h form; q=1 collapse chain down to Weyl."""
     for n in range(max_n + 1):
-        quotients.blumen_binomial(n)        # asserts closed form
+        if quotients.blumen_binomial_rewrite(n) != quotients.blumen_binomial(n):
+            return False, f"Blumen closed form disagrees with rewriting at n={n}"
     mismatch = _weyl_mismatch(weyl_d)
     if mismatch:
         return False, mismatch

@@ -75,17 +75,39 @@ class TestFilterIdentity:
 
 class TestBinomialExpansions:
     def test_direct_and_dual(self):
-        # the function asserts equality with (x+y)^n internally
+        x, y = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
         for n in range(7):
-            binomial_via_bell(n)
-            binomial_via_bell(n, dual=True)
+            assert binomial_via_bell(n) == (x + y) ** n
+            assert binomial_via_bell(n, dual=True) == (x + y) ** n
+
+    def test_verify_lemma42_catches_a_wrong_expansion_under_O(self, verify_under_O):
+        done = verify_under_O("lemma42", (
+            "from ncbinom import bell\n"
+            "from ncbinom.freepoly import FreePoly\n"
+            "expand = bell.binomial_via_bell\n"
+            "def bumped(n, dual=False):\n"
+            "    p = expand(n, dual)\n"
+            "    return p + FreePoly.word((2, 1, 2), 2) if n == 3 else p\n"
+            "bell.binomial_via_bell = bumped\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"lemma42: FAIL (Bell binomial identity failed at n=3)" in done.stdout
+
+    def test_verify_lemma42_catches_a_wrong_projection_under_O(self, verify_under_O):
+        done = verify_under_O("lemma42", (
+            "from ncbinom import bell\n"
+            "project = bell.classical_bell_project\n"
+            "def bumped(n):\n"
+            "    p = project(n)\n"
+            "    return p.scale(2) if n == 4 else p\n"
+            "bell.classical_bell_project = bumped\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"lemma42: FAIL (classical Bell mismatch at n=4)" in done.stdout
 
 
 class TestClassicalSpecialization:
     def test_projection_matches_formula(self):
-        # classical_bell_project asserts the equality internally
         for n in range(1, 8):
-            classical_bell_project(n)
+            assert classical_bell_project(n) == classical_bell_formula(n)
 
     def test_formula_coefficients_n4(self):
         # B_4 classically: y^4 + 6 y^2 y' + 3 y'^2 + 4 y y'' + y'''

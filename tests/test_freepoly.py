@@ -123,6 +123,8 @@ class TestShuffleTypePolynomials:
         for i in range(5):
             for j in range(5):
                 assert sh_word_basis(i, j) == sh_multidegree((j, i))
+                assert sh_word_basis(i, j) == shuffle_product(
+                    FreePoly.word((2,) * i, 2), FreePoly.word((1,) * j, 2))
 
     def test_binomial_resolution(self):
         # (x + y)^n splits into the shuffle type slices

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -10,10 +6,12 @@ from ncbinom import pbw, quotients, verify
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import PBWPoly, pbw_rewrite
 from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
+                               blumen_binomial_rewrite,
                                blumen_higher_derivatives_vanish,
                                blumen_normalize, blumen_weyl_compare,
                                kill_project, lie_ideal_closure, qcomm_bell,
-                               qcomm_bell_full, qcomm_binomial,
+                               qcomm_bell_closed, qcomm_bell_full,
+                               qcomm_bell_recursive, qcomm_binomial,
                                qcomm_normalize, weyl_binomial)
 from ncbinom.rings import QPoly, q_binomial, q_integer
 
@@ -78,22 +76,15 @@ class TestWeyl:
         assert not ok
         assert "killed expansion" in detail
 
-    def test_verify_blumen_catches_a_wrong_coefficient_under_O(self):
-        script = (
-            "import runpy, sys\n"
+    def test_verify_blumen_catches_a_wrong_coefficient_under_O(self, verify_under_O):
+        done = verify_under_O("blumen", (
             "from ncbinom import quotients\n"
             "from ncbinom.pbw import PBWPoly\n"
             "weyl = quotients.weyl_binomial\n"
             "def bumped(d):\n"
             "    p = weyl(d)\n"
             "    return p + PBWPoly.monomial((((1, 1, 2), 1),), 2) if d == 3 else p\n"
-            "quotients.weyl_binomial = bumped\n"
-            "sys.argv = ['ncbinom', 'verify', 'blumen']\n"
-            "runpy.run_module('ncbinom.cli', run_name='__main__')\n")
-        src = str(Path(quotients.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, timeout=60)
+            "quotients.weyl_binomial = bumped\n"))
         assert done.returncode == 1, done.stderr.decode()
         assert b"blumen: FAIL" in done.stdout
 
@@ -143,7 +134,8 @@ class TestQComm:
     def test_routes_agree_to_8(self):
         for n in range(9):
             for k in range(n + 1):
-                qcomm_bell(n, k)  # asserts internally
+                assert qcomm_bell_recursive(n, k) == qcomm_bell_closed(n, k)
+                assert qcomm_bell(n, k) == qcomm_bell_closed(n, k)
 
     def test_full_bell_at_q_one(self):
         # q=1 coefficients are the multinomial Bell coefficients; total mass
@@ -154,8 +146,31 @@ class TestQComm:
             assert total == b
 
     def test_binomial_cross_check(self):
+        # coefficient of d-word times x^t = binom(n, n-t)_q * full-Bell part
+        full = [qcomm_bell_full(k) for k in range(7)]
         for n in range(7):
-            qcomm_binomial(n)  # asserts coefficient = q-binom * Bell part
+            want = {(word, n - k): q_binomial(n, k) * c
+                    for k in range(n + 1) for word, c in full[k].items()}
+            assert qcomm_binomial(n) == want
+
+    def test_verify_qcomm_catches_a_wrong_closed_form_under_O(self, verify_under_O):
+        done = verify_under_O("qcomm", (
+            "from ncbinom import quotients\n"
+            "from ncbinom.rings import QPoly\n"
+            "closed = quotients.qcomm_bell_closed\n"
+            "def bumped(n, k):\n"
+            "    out = closed(n, k)\n"
+            "    return {w: c + QPoly.one() for w, c in out.items()}\n"
+            "quotients.qcomm_bell_closed = bumped\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"qcomm: FAIL (q-commutative Bell routes disagree at (n=0, k=0))" in done.stdout
+
+    def test_production_call_skips_the_recursion(self, monkeypatch):
+        def second_route(*args):
+            raise RuntimeError("second route called")
+        monkeypatch.setattr(quotients, "qcomm_bell_recursive", second_route)
+        assert qcomm_bell(4, 2) == qcomm_bell_closed(4, 2)
+        qcomm_binomial(5)
 
 
 def q_factorial_sq():
@@ -181,9 +196,30 @@ class TestBlumen:
         assert got[(0, 1, 0)] == QPoly.one()
         assert got[(0, 0, 2)] == QPoly.one()
 
-    def test_closed_form_internal_assertions(self):
-        for n in range(7):
-            blumen_binomial(n)
+    def test_closed_form_equals_rewrite(self):
+        for n in range(8):
+            assert blumen_binomial_rewrite(n) == blumen_binomial(n)
+
+    def test_production_call_skips_the_rewrite(self, monkeypatch):
+        def second_route(*args):
+            raise RuntimeError("second route called")
+        monkeypatch.setattr(quotients, "blumen_normalize", second_route)
+        assert blumen_binomial(3)[(1, 1, 0)] == QPoly((1, 1, 1))
+
+    def test_verify_blumen_catches_a_wrong_closed_form_under_O(self, verify_under_O):
+        done = verify_under_O("blumen", (
+            "from ncbinom import quotients\n"
+            "from ncbinom.rings import QPoly\n"
+            "closed = quotients.blumen_binomial\n"
+            "def bumped(n):\n"
+            "    out = closed(n)\n"
+            "    if n == 4:\n"
+            "        out[(2, 1, 0)] = out[(2, 1, 0)] + QPoly.q(1)\n"
+            "    return out\n"
+            "quotients.blumen_binomial = bumped\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"blumen: FAIL" in done.stdout
+        assert b"rewriting at n=4" in done.stdout
 
     def test_collapses_to_weyl_at_q_one(self):
         for n in range(7):

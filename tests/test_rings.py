@@ -1,9 +1,13 @@
+import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ncbinom.emit import emit_json, parse_json
+from ncbinom.freepoly import FreePoly
 from ncbinom.rings import (_MR_BOUND, DivisionNotExact, ModInt, QPoly, _is_prime,
                            cyclotomic, exponent_vectors, q_binomial, q_factorial,
                            q_integer, qpoly_exact_div)
@@ -166,3 +170,107 @@ class TestCyclotomic:
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == QPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+def _fraction_mul(a, b):
+    """The Fraction-coefficient schoolbook product, as QPoly had it before its
+    coefficients became integers where they can."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _fraction_div(a, b):
+    """The Fraction-coefficient exact division of the same earlier QPoly;
+    None when the remainder is nonzero."""
+    rem = [Fraction(c) for c in a]
+    db, lead = len(b) - 1, Fraction(b[-1])
+    if len(rem) - 1 < db:
+        return None
+    quot = [Fraction(0)] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] / lead
+        quot[i - db] = c
+        for j, bc in enumerate(b):
+            rem[i - db + j] -= c * bc
+    if any(rem):
+        return None
+    while quot and quot[-1] == 0:
+        quot.pop()
+    return tuple(quot)
+
+
+def _random_coeffs(rng, length):
+    pool = (Fraction(1, 6), Fraction(-3, 4), Fraction(7, 9), 10 ** 20, -(10 ** 20) + 7,
+            0, 1, -2, 3)
+    cs = [rng.choice(pool) * rng.randint(-5, 5) for _ in range(length)]
+    cs.append(rng.choice((1, -1, 2, Fraction(1, 6), 10 ** 20)))
+    return cs
+
+
+class TestIntegerCoefficients:
+    def test_integral_input_stays_int(self):
+        q = QPoly.q()
+        a, b = QPoly((3, -1, 2)), QPoly((1, 5))
+        for p in (a + b, a - b, a * b, b ** 5, 2 * a, a + 1, 1 - a, -a,
+                  a.subs_q_power(3), q_binomial(9, 4), q_factorial(7), cyclotomic(12),
+                  qpoly_exact_div(q_factorial(8), q_factorial(3)),
+                  qpoly_exact_div(a * b * (q + 7), b), QPoly.const(Fraction(6, 3))):
+            assert p and _all_int(p), p.coeffs
+
+    def test_products_and_quotients_match_fraction_arithmetic(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            a = _random_coeffs(rng, rng.randint(0, 6))
+            b = _random_coeffs(rng, rng.randint(0, 4))
+            prod = QPoly(a) * QPoly(b)
+            assert prod.coeffs == _fraction_mul(a, b)
+            assert qpoly_exact_div(prod, QPoly(b)) == QPoly(a)
+            assert qpoly_exact_div(prod, QPoly(b)).coeffs == _fraction_div(
+                _fraction_mul(a, b), b)
+            c = _random_coeffs(rng, rng.randint(0, 3))
+            want = _fraction_div(a, c)
+            if want is None:
+                with pytest.raises(DivisionNotExact):
+                    qpoly_exact_div(QPoly(a), QPoly(c))
+            else:
+                assert qpoly_exact_div(QPoly(a), QPoly(c)).coeffs == want
+
+    def test_non_monic_exact_division_gives_a_fraction(self):
+        got = qpoly_exact_div(QPoly((1, 1)), QPoly((2, 2)))
+        assert got == QPoly.const(Fraction(1, 2))
+        assert type(got.coeffs[0]) is Fraction
+        with pytest.raises(DivisionNotExact):
+            qpoly_exact_div(QPoly((1, 0, 1)), QPoly((2, 2)))
+
+    def test_integral_fraction_equals_int(self):
+        assert QPoly((Fraction(3),)) == QPoly((3,))
+        assert hash(QPoly((Fraction(3),))) == hash(QPoly((3,)))
+        assert QPoly((Fraction(4, 2), 1)).coeffs == (2, 1)
+        assert type(QPoly((Fraction(4, 2),)).coeffs[0]) is int
+
+    def test_half_coefficient_roundtrips_through_json(self):
+        p = FreePoly({(1, 2): QPoly((Fraction(1, 2), 0, -3)), (2,): QPoly.q(2)}, 2)
+        doc = json.loads(json.dumps(emit_json(p)))
+        assert doc["ring"] == "Q[q]"
+        back = parse_json(doc)
+        assert back == p
+        assert back.terms[(1, 2)].coeffs == (Fraction(1, 2), 0, -3)
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            QPoly((0.1, 1))
+        with pytest.raises(TypeError):
+            QPoly.const(0.5)
+        with pytest.raises(TypeError):
+            QPoly.one() + 0.5
