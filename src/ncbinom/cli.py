@@ -105,7 +105,9 @@ class _Parser:
             n = self.take()
             if n is None or not n.isdigit():
                 raise UsageError("power must be a nonnegative integer")
-            self.guard(_degree(atom) * int(n))
+            # a constant's exponent is capped as a letter's is: 3^33333 would
+            # run 33333 products and give an int too long to print
+            self.guard(max(_degree(atom), 1) * int(n))
             atom = atom ** int(n)
         return atom
 

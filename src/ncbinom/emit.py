@@ -1,7 +1,18 @@
-"""Text, LaTeX and JSON emitters for word-basis and PBW-basis polynomials.
+"""Text, LaTeX and JSON output for word-basis and PBW-basis polynomials.
 
-JSON documents round-trip losslessly: {"ring": ..., "basis": "word"|"pbw",
-"alphabet": m, "terms": [...]} with coefficients rendered as strings.
+Every format reads one walk, ``SparseCombination.walk``: the terms in key
+order as (factors, coefficient), where a word w is the single factor (w, 1)
+and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
+
+- Text is ``str(p)``, spelled in ``SparseCombination.__str__``:
+  ``2*E(12) + -1*E(2)*E(1)``, which the CLI's expression parser reads back.
+- LaTeX spells a word-basis letter a as ``x_{a}`` and a PBW factor as
+  ``E_{α}^{t}``; a coefficient of ±1 shows only its sign and a negative term
+  joins with ``-``: ``3x_{1}x_{2}-x_{2}``, ``2E_{12}^{2}E_{1}-E_{2}``.
+- JSON documents round-trip losslessly: {"ring": ..., "basis": "word"|"pbw",
+  "alphabet": m, "terms": [...]} with coefficients rendered as strings.
+
+Text and JSON are the byte-stable forms.
 """
 
 from __future__ import annotations
@@ -24,20 +35,6 @@ def ring_tag(coeff) -> str:
     if isinstance(coeff, ModInt):
         return f"GF:{coeff.p}"
     raise TypeError(f"unknown coefficient type {type(coeff).__name__}")
-
-
-def poly_ring_tag(p) -> str:
-    for c in p.terms.values():
-        return ring_tag(c)
-    return "Q"
-
-
-def coeff_to_str(c) -> str:
-    if isinstance(c, (int, Fraction, QPoly)):
-        return str(c)
-    if isinstance(c, ModInt):
-        return str(c.value)
-    raise TypeError(f"unknown coefficient type {type(c).__name__}")
 
 
 _QTERM = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(q(?:\^(\d+))?)?$")
@@ -72,101 +69,62 @@ def _parse_qpoly(s: str) -> QPoly:
     return QPoly([coeffs.get(i, 0) for i in range(top + 1)])
 
 
-# -- text --------------------------------------------------------------------
-
-def _coeff_text(c) -> str:
-    s = coeff_to_str(c)
-    return f"({s})" if " " in s else s
-
-
-def emit_text(p) -> str:
-    if isinstance(p, FreePoly):
-        if not p.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(p.terms.items()):
-            parts.append(f"{_coeff_text(c)}*E({format_word(w, p.m)})")
-        return " + ".join(parts)
-    if isinstance(p, PBWPoly):
-        if not p.terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(p.terms.items()):
-            if not mono:
-                parts.append(f"{_coeff_text(c)}*1")
-                continue
-            factors = "*".join(
-                f"E({format_word(a, p.m)})" + (f"^{t}" if t > 1 else "")
-                for a, t in mono)
-            parts.append(f"{_coeff_text(c)}*{factors}")
-        return " + ".join(parts)
-    raise TypeError(f"cannot emit {type(p).__name__}")
-
-
 # -- LaTeX -------------------------------------------------------------------
 
+def _latex_factor(basis: str, a, t: int, m: int) -> str:
+    if basis == "word":
+        return "".join(f"x_{{{x}}}" for x in a)
+    return "E_{" + format_word(a, m) + "}" + (f"^{{{t}}}" if t > 1 else "")
+
+
+def _latex_term(c, body: str):
+    """(negative, text) of the term c*body; a coefficient of ±1 before a
+    nonempty body shows only its sign."""
+    if isinstance(c, QPoly):
+        qterms = [(x, "" if i == 0 else "q" if i == 1 else f"q^{{{i}}}")
+                  for i, x in enumerate(c.coeffs) if x]
+        if len(qterms) > 1:
+            return False, "(" + _signed_join(_latex_term(x, q) for x, q in qterms) + ")" + body
+        (c, q), = qterms
+        body = q + body
+    s = str(c)
+    negative = s.startswith("-")
+    if negative:
+        s = s[1:]
+    return negative, ("" if s == "1" and body else s) + body
+
+
+def _signed_join(terms) -> str:
+    out = ""
+    for negative, text in terms:
+        if negative:
+            out += "-"
+        elif out:
+            out += "+"
+        out += text
+    return out or "0"
+
+
 def emit_latex(p) -> str:
-    def coeff_prefix(c):
-        s = coeff_to_str(c)
-        if s == "1":
-            return ""
-        if isinstance(c, QPoly) and sum(1 for x in c.coeffs if x) > 1:
-            return "(" + _qpoly_latex(c) + ")"
-        if isinstance(c, QPoly):
-            return _qpoly_latex(c)
-        return s
-
-    if isinstance(p, FreePoly):
-        if not p.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(p.terms.items()):
-            body = "".join(str(x) for x in w) if w else "1"
-            parts.append(coeff_prefix(c) + body)
-        return "+".join(parts)
-    if isinstance(p, PBWPoly):
-        if not p.terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(p.terms.items()):
-            if not mono:
-                parts.append(coeff_to_str(c))
-                continue
-            body = "".join(
-                "E_{" + "".join(str(x) for x in a) + "}" + (f"^{{{t}}}" if t > 1 else "")
-                for a, t in mono)
-            parts.append(coeff_prefix(c) + body)
-        return "+".join(parts)
-    raise TypeError(f"cannot emit {type(p).__name__}")
-
-
-def _qpoly_latex(c: QPoly) -> str:
-    parts = []
-    for i, x in enumerate(c.coeffs):
-        if x == 0:
-            continue
-        if i == 0:
-            parts.append(str(x))
-        else:
-            mono = "q" if i == 1 else f"q^{{{i}}}"
-            parts.append(mono if x == 1 else f"{x}{mono}")
-    return "+".join(parts)
+    return _signed_join(
+        _latex_term(c, "".join(_latex_factor(p.basis, a, t, p.m) for a, t in factors))
+        for factors, c in p.walk())
 
 
 # -- JSON --------------------------------------------------------------------
 
+def _json_term(basis: str, factors, m: int) -> dict:
+    if basis == "word":
+        (w, _), = factors
+        return {"word": format_word(w, m)}
+    return {"factors": [[format_word(a, m), t] for a, t in factors]}
+
+
 def emit_json(p) -> dict:
-    ring = poly_ring_tag(p)
-    if isinstance(p, FreePoly):
-        terms = [{"coeff": coeff_to_str(c), "word": format_word(w, p.m)}
-                 for w, c in sorted(p.terms.items())]
-        return {"ring": ring, "basis": "word", "alphabet": p.m, "terms": terms}
-    if isinstance(p, PBWPoly):
-        terms = [{"coeff": coeff_to_str(c),
-                  "factors": [[format_word(a, p.m), t] for a, t in mono]}
-                 for mono, c in sorted(p.terms.items())]
-        return {"ring": ring, "basis": "pbw", "alphabet": p.m, "terms": terms}
-    raise TypeError(f"cannot emit {type(p).__name__}")
+    ring = ring_tag(next(iter(p.terms.values()), 0))
+    terms = [{"coeff": str(c), **_json_term(p.basis, factors, p.m)}
+             for factors, c in p.walk()]
+    return {"ring": ring, "basis": p.basis, "alphabet": p.m, "terms": terms}
 
 
 def parse_json(doc: dict):
@@ -186,9 +144,13 @@ def parse_json(doc: dict):
     raise ValueError(f"unknown basis {doc['basis']!r}")
 
 
+def emit_text(p) -> str:
+    return str(p)
+
+
 def emit(p, fmt: str) -> str:
     if fmt == "text":
-        return emit_text(p)
+        return str(p)
     if fmt == "latex":
         return emit_latex(p)
     if fmt == "json":

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import ModInt, QPoly
-from .words import Word
+from .words import Word, format_word
 
 _SCALARS = (int, Fraction, QPoly, ModInt)
 
@@ -21,6 +21,8 @@ class SparseCombination:
 
     The shared linear structure of the word basis (``FreePoly``) and the PBW
     basis (``PBWPoly``).  Equality is by class, since both key the unit by ().
+    Each subclass names its JSON ``basis`` tag and, in ``factors``, splits a
+    key into (word, exponent) factors; every printout reads ``walk``.
     """
 
     __slots__ = ("terms", "m")
@@ -83,11 +85,38 @@ class SparseCombination:
     def map_coeffs(self, fn):
         return type(self)({w: fn(c) for w, c in self.terms.items()}, self.m)
 
+    def walk(self):
+        """(factors, coefficient) of each term, in key order."""
+        for key, c in sorted(self.terms.items()):
+            yield self.factors(key), c
+
+    def __str__(self):
+        """Text form, read back by the CLI's expression parser: ``c*E(w)^t``
+        terms joined by `` + ``, a multi-term coefficient in parentheses."""
+        parts = []
+        for factors, c in self.walk():
+            s = str(c)
+            if " " in s:
+                s = f"({s})"
+            body = "*".join(f"E({format_word(a, self.m)})" + (f"^{t}" if t > 1 else "")
+                            for a, t in factors)
+            parts.append(f"{s}*{body or 1}")
+        return " + ".join(parts) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
 
 class FreePoly(SparseCombination):
     """Sparse combination of words: the free algebra with its product."""
 
     __slots__ = ()
+    basis = "word"
+
+    @staticmethod
+    def factors(w: Word):
+        """A word is a single factor with exponent 1."""
+        return ((w, 1),)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,12 +163,6 @@ class FreePoly(SparseCombination):
         for _ in range(n):
             result = result * self
         return result
-
-    def __repr__(self):
-        if not self.terms:
-            return "FreePoly(0)"
-        parts = [f"{c}*{''.join(map(str, w)) or 'e'}" for w, c in sorted(self.terms.items())]
-        return "FreePoly(" + " + ".join(parts) + ")"
 
 
 def commutator(f: FreePoly, g: FreePoly) -> FreePoly:

@@ -73,14 +73,6 @@ def monomial_degree(mono: PBWMonomial) -> int:
     return sum(len(alpha) * t for alpha, t in mono)
 
 
-def monomial_multidegree(mono: PBWMonomial, m: int):
-    counts = [0] * m
-    for alpha, t in mono:
-        for x in alpha:
-            counts[x - 1] += t
-    return tuple(counts)
-
-
 def validate_monomial(mono: PBWMonomial):
     prev = None
     for alpha, t in mono:
@@ -109,6 +101,12 @@ class PBWPoly(SparseCombination):
     """Sparse combination of PBW monomials."""
 
     __slots__ = ()
+    basis = "pbw"
+
+    @staticmethod
+    def factors(mono: PBWMonomial):
+        """A monomial is already its tuple of (Lyndon word, exponent) factors."""
+        return mono
 
     @staticmethod
     def monomial(mono: PBWMonomial, m: int = 2, coeff=1) -> "PBWPoly":
@@ -119,18 +117,6 @@ class PBWPoly(SparseCombination):
         for mono, c in self.terms.items():
             out = out + pbw_expand_monomial(mono, self.m).scale(c)
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "PBWPoly(0)"
-        def fmt(mono):
-            if not mono:
-                return "1"
-            return "*".join(
-                f"E({''.join(map(str, a))})" + (f"^{t}" if t > 1 else "")
-                for a, t in mono)
-        parts = [f"{c}*{fmt(mono)}" for mono, c in sorted(self.terms.items())]
-        return "PBWPoly(" + " + ".join(parts) + ")"
 
 
 def pbw_expand(p) -> FreePoly:

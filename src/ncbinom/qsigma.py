@@ -36,9 +36,6 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         return OpSum(self, other)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return OpCompose(self, other)
-
     def power(self, n: int) -> "Operator":
         op = IdentityOp()
         for _ in range(n):
@@ -309,12 +306,7 @@ def binomial_q_verify(n: int) -> bool:
 
 def qbell_at_one(n: int) -> FreePoly:
     """qbell(n) with q specialized to 1; should equal the plain Bell polynomial."""
-    def ev(c):
-        if isinstance(c, QPoly):
-            v = c(1)
-            return int(v) if v.denominator == 1 else v
-        return c
-    return qbell(n).map_coeffs(ev)
+    return qbell(n).map_coeffs(lambda c: c(1) if isinstance(c, QPoly) else c)
 
 
 def ore_binomial(n: int, sigma: Operator, delta: Operator, m: int = 2):

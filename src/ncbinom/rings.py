@@ -262,8 +262,10 @@ class QPoly:
         return bool(self.coeffs)
 
     def __call__(self, value):
-        """Evaluate at a numeric value of q (Horner)."""
-        acc = Fraction(0)
+        """Evaluate at an exact q (Horner): an ``int`` for integral input."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"q must be int or Fraction, not {type(value).__name__}")
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc

@@ -287,8 +287,3 @@ def run_suite(name: str, max_degree: int = 6):
         return SUITES[name](max_degree)
     except AssertionError as e:
         return False, str(e)
-
-
-def run_all(max_degree: int = 6):
-    """Run every suite; returns list of (name, ok, detail) sorted by name."""
-    return [(name, *run_suite(name, max_degree)) for name in sorted(SUITES)]

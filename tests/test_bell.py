@@ -5,7 +5,7 @@ from ncbinom.bell import (bell_dual, bell_dual_partial_word, bell_dual_word,
                           bell_word, binomial_via_bell, classical_bell_formula,
                           classical_bell_project, sh_filter)
 from ncbinom.freepoly import FreePoly
-from ncbinom.pbw import PBWPoly, pbw_expand, pbw_rewrite
+from ncbinom.pbw import PBWPoly, pbw_rewrite
 
 
 def M(*factors):

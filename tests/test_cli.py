@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncbinom import verify
 from ncbinom.cli import UsageError, main, parse_expression
 from ncbinom.emit import emit_json, parse_json
 from ncbinom.freepoly import FreePoly
@@ -200,6 +204,8 @@ class TestExitCodes:
         ("pbw", "--expr", "1/2*E(1)", "--ring", "GF:2"),
         ("pbw", "--expr", "1/0*E(1)"),
         ("pbw", "--expr", "E(111111111111)"),
+        ("pbw", "--expr", "3^33333"),
+        ("pbw", "--expr", "E()^99999999"),
         ("sh", "--degree", "2,3", "--ring", "GF:5"),
         ("sh", "--degree", "0,5", "--pbw", "--ring", "GF:5"),
         ("binom", "--degree", "2", "--ring", "GF:3317044064679887385961981"),
@@ -258,3 +264,69 @@ class TestJsonPipeline:
                 terms[w] = rng.randint(-5, 5) or 1
             p = FreePoly(terms, 2)
             assert parse_json(emit_json(p)) == p
+
+
+_TOKENS = ["E(1)", "E(2)", "E(12)", "E(3)", "E()", "0", "1", "2", "3", "/",
+           "+", "-", "*", "^", "(", ")", ",", " "]
+_TEXT = st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join)
+_SMALL = st.integers(-1, 5).map(str)
+_OPTIONS = {
+    "--format": st.sampled_from(["text", "latex", "json", "html"]),
+    "--ring": st.sampled_from(["Q", "GF:2", "GF:3", "GF:5", "GF:4", "GF:x", "Q[q]", "bogus"]),
+    "--degree": st.one_of(_SMALL, st.lists(_SMALL, min_size=2, max_size=3).map(",".join)),
+    "--n": _SMALL, "--k": _SMALL, "--d": _SMALL, "--max-len": _SMALL,
+    "--alphabet": st.integers(-1, 3).map(str),
+    "--max-degree": st.integers(-1, 6).map(str),
+    "--expr": _TEXT, "--word": _TEXT, "--set": _TEXT,
+    "--sigma": st.sampled_from(["id", "grading", "bogus"]),
+    "--sigma-spec": st.just("missing.json"), "--delta-spec": st.just("missing.json"),
+    "--pbw": st.just(None), "--dual": st.just(None),
+}
+_COMMON = ["--ring", "--format", "--max-degree"]
+_FLAGS = {  # command: (flags it requires, flags it may take)
+    "lyndon": (["--max-len"], ["--alphabet"]),
+    "factorize": (["--word"], ["--alphabet"]),
+    "sh": (["--degree"], ["--pbw", *_COMMON]),
+    "binom": (["--degree"], ["--alphabet", *_COMMON]),
+    "pbw": (["--expr"], ["--alphabet", *_COMMON]),
+    "bell": (["--n"], ["--k", "--dual", *_COMMON]),
+    "qbell": (["--n"], ["--k", *_COMMON]),
+    "quotient": ([], ["--d", "--n", "--k", "--set", "--expr", "--alphabet", *_COMMON]),
+    "ore": (["--n"], ["--sigma", "--sigma-spec", "--delta-spec", *_COMMON]),
+    "verify": ([], ["--max-degree"]),
+    "bogus": ([], ["--n"]),
+}
+_POSITIONAL = {"quotient": ["weyl", "blumen", "qcomm-bell", "kill", "bogus"],
+               "verify": sorted(verify.SUITES) + ["all", "bogus"]}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required flags, a random subset of the others,
+    now and then a flag it does not take, and small or malformed values."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command in _POSITIONAL:
+        argv.append(draw(st.sampled_from(_POSITIONAL[command])))
+    required, optional = _FLAGS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_OPTIONS))))
+    for flag in flags:
+        value = draw(_OPTIONS[flag])
+        argv += [flag] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv())
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 1, 2), (argv, code)
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()

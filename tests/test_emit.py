@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncbinom.emit import (coeff_from_str, coeff_to_str, emit, emit_json,
-                          emit_latex, emit_text, parse_json)
+from ncbinom.emit import (coeff_from_str, emit, emit_json, emit_latex,
+                          emit_text, parse_json)
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import PBWPoly, pbw_rewrite
 from ncbinom.rings import ModInt, QPoly
@@ -14,17 +14,17 @@ from ncbinom.rings import ModInt, QPoly
 class TestCoeffStrings:
     def test_rational_roundtrip(self):
         for c in (3, -2, Fraction(5, 7), Fraction(-1, 3)):
-            assert coeff_from_str(coeff_to_str(c), "Q") == c
+            assert coeff_from_str(str(c), "Q") == c
 
     def test_modint_roundtrip(self):
         c = ModInt(4, 7)
-        assert coeff_from_str(coeff_to_str(c), "GF:7") == c
+        assert coeff_from_str(str(c), "GF:7") == c
 
     def test_qpoly_roundtrip(self):
         samples = [QPoly.one(), QPoly.q(), QPoly((1, 1, 1)),
                    QPoly((Fraction(1, 2), 0, -3)), QPoly((0, 2))]
         for c in samples:
-            assert coeff_from_str(coeff_to_str(c), "Q[q]") == c
+            assert coeff_from_str(str(c), "Q[q]") == c
 
     def test_bad_ring_tag(self):
         with pytest.raises(ValueError):
@@ -45,11 +45,40 @@ class TestText:
         p = FreePoly({(1,): QPoly((1, 1))}, 2)
         assert emit_text(p) == "(1 + q)*E(1)"
 
+    def test_repr_wraps_text(self):
+        assert repr(FreePoly.word((1, 10), m=11)) == "FreePoly(1*E([1,10]))"
+        assert repr(PBWPoly.monomial((((1, 2), 2),), coeff=-1)) == "PBWPoly(-1*E(12)^2)"
+        assert repr(PBWPoly.zero(2)) == "PBWPoly(0)"
+
 
 class TestLatex:
     def test_word_basis(self):
+        # letters are spelled x_{a}, so coefficient digits cannot run into them
         p = FreePoly.word((1, 1, 2), coeff=3)
-        assert emit_latex(p) == "3112"
+        assert emit_latex(p) == "3x_{1}x_{1}x_{2}"
+
+    def test_signs(self):
+        assert emit_latex(FreePoly.word((2,), coeff=-1)) == "-x_{2}"
+        p = FreePoly.word((1, 2), coeff=3) - FreePoly.word((2, 1), coeff=3)
+        assert emit_latex(p) == "3x_{1}x_{2}-3x_{2}x_{1}"
+        p = PBWPoly.monomial((((1,), 1),)) - PBWPoly.monomial((((2,), 1),), coeff=Fraction(2, 3))
+        assert emit_latex(p) == "E_{1}-2/3E_{2}"
+        assert emit_latex(-PBWPoly.monomial(())) == "-1"
+
+    def test_unit_word(self):
+        assert emit_latex(FreePoly.unit(2)) == "1"
+        assert emit_latex(FreePoly.unit(2).scale(2)) == "2"
+        assert emit_latex(FreePoly.zero(2)) == "0"
+
+    def test_qpoly_coefficient_terms_signed(self):
+        p = FreePoly({(1,): QPoly((0, -1, -1)), (2,): -QPoly.q(2)}, 2)
+        assert emit_latex(p) == "(-q-q^{2})x_{1}-q^{2}x_{2}"
+
+    def test_alphabet_above_nine(self):
+        p = FreePoly.word((1, 10), m=11) + FreePoly.word((11, 1), m=11)
+        assert emit_latex(p) == "x_{1}x_{10}+x_{11}x_{1}"
+        p = PBWPoly.monomial((((1, 10), 1),), m=11)
+        assert emit_latex(p) == "E_{[1,10]}"
 
     def test_pbw_basis(self):
         p = PBWPoly.monomial((((1, 2), 2), ((1,), 1)), coeff=2)

@@ -1,0 +1,136 @@
+"""The output contract: exact text and JSON of small commands.
+
+The expected bytes were recorded before text, LaTeX and JSON were moved onto
+one term walk; text and JSON must not change.
+"""
+
+import pytest
+
+from ncbinom.cli import main
+
+GOLDEN = {
+    ('binom', '--degree', '4'): {
+        'text': ('1*E(1)^4 + 1*E(1112) + 4*E(112)*E(1) + 1*E(1122) + 6*E(12)*E(1)^2 + '
+            '3*E(12)^2 + 4*E(122)*E(1) + 1*E(1222) + 4*E(2)*E(1)^3 + 4*E(2)*E(112) '
+            '+ 12*E(2)*E(12)*E(1) + 4*E(2)*E(122) + 6*E(2)^2*E(1)^2 + '
+            '6*E(2)^2*E(12) + 4*E(2)^3*E(1) + 1*E(2)^4\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["1", 4]]}, {"coeff": "1", "factors": [["1112", 1]]}, '
+            '{"coeff": "4", "factors": [["112", 1], ["1", 1]]}, {"coeff": "1", '
+            '"factors": [["1122", 1]]}, {"coeff": "6", "factors": [["12", 1], '
+            '["1", 2]]}, {"coeff": "3", "factors": [["12", 2]]}, {"coeff": "4", '
+            '"factors": [["122", 1], ["1", 1]]}, {"coeff": "1", "factors": '
+            '[["1222", 1]]}, {"coeff": "4", "factors": [["2", 1], ["1", 3]]}, '
+            '{"coeff": "4", "factors": [["2", 1], ["112", 1]]}, {"coeff": "12", '
+            '"factors": [["2", 1], ["12", 1], ["1", 1]]}, {"coeff": "4", '
+            '"factors": [["2", 1], ["122", 1]]}, {"coeff": "6", "factors": [["2", '
+            '2], ["1", 2]]}, {"coeff": "6", "factors": [["2", 2], ["12", 1]]}, '
+            '{"coeff": "4", "factors": [["2", 3], ["1", 1]]}, {"coeff": "1", '
+            '"factors": [["2", 4]]}]}\n'),
+    },
+    ('binom', '--degree', '3', '--ring', 'GF:3'): {
+        'text': ('1*E(1)^3 + 1*E(112) + 1*E(122) + 1*E(2)^3\n'),
+        'json': ('{"ring": "GF:3", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "factors": [["1", 3]]}, {"coeff": "1", "factors": [["112", 1]]}, '
+            '{"coeff": "1", "factors": [["122", 1]]}, {"coeff": "1", "factors": '
+            '[["2", 3]]}]}\n'),
+    },
+    ('binom', '--alphabet', '11', '--degree', '1'): {
+        'text': ('1*E([1]) + 1*E([2]) + 1*E([3]) + 1*E([4]) + 1*E([5]) + 1*E([6]) + '
+            '1*E([7]) + 1*E([8]) + 1*E([9]) + 1*E([10]) + 1*E([11])\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 11, "terms": [{"coeff": '
+            '"1", "factors": [["[1]", 1]]}, {"coeff": "1", "factors": [["[2]", '
+            '1]]}, {"coeff": "1", "factors": [["[3]", 1]]}, {"coeff": "1", '
+            '"factors": [["[4]", 1]]}, {"coeff": "1", "factors": [["[5]", 1]]}, '
+            '{"coeff": "1", "factors": [["[6]", 1]]}, {"coeff": "1", "factors": '
+            '[["[7]", 1]]}, {"coeff": "1", "factors": [["[8]", 1]]}, {"coeff": '
+            '"1", "factors": [["[9]", 1]]}, {"coeff": "1", "factors": [["[10]", '
+            '1]]}, {"coeff": "1", "factors": [["[11]", 1]]}]}\n'),
+    },
+    ('sh', '--degree', '2,2'): {
+        'text': ('1*E(1122) + 1*E(1212) + 1*E(1221) + 1*E(2112) + 1*E(2121) + '
+            '1*E(2211)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "word": "1122"}, {"coeff": "1", "word": "1212"}, {"coeff": "1", '
+            '"word": "1221"}, {"coeff": "1", "word": "2112"}, {"coeff": "1", '
+            '"word": "2121"}, {"coeff": "1", "word": "2211"}]}\n'),
+    },
+    ('sh', '--degree', '0,0'): {
+        'text': ('1*E(e)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "word": "e"}]}\n'),
+    },
+    ('sh', '--degree', '2,2', '--pbw'): {
+        'text': ('1*E(1122) + 3*E(12)^2 + 4*E(122)*E(1) + 4*E(2)*E(112) + '
+            '12*E(2)*E(12)*E(1) + 6*E(2)^2*E(1)^2\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["1122", 1]]}, {"coeff": "3", "factors": [["12", 2]]}, '
+            '{"coeff": "4", "factors": [["122", 1], ["1", 1]]}, {"coeff": "4", '
+            '"factors": [["2", 1], ["112", 1]]}, {"coeff": "12", "factors": [["2", '
+            '1], ["12", 1], ["1", 1]]}, {"coeff": "6", "factors": [["2", 2], ["1", '
+            '2]]}]}\n'),
+    },
+    ('pbw', '--expr', '1/3*E(12)*E(2) + 2/5*E(1)^3 - 3'): {
+        'text': ('-3*1 + 2/5*E(1)^3 + 1/3*E(122) + 2/3*E(2)*E(12) + 1/3*E(2)^2*E(1)\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": '
+            '"-3", "factors": []}, {"coeff": "2/5", "factors": [["1", 3]]}, '
+            '{"coeff": "1/3", "factors": [["122", 1]]}, {"coeff": "2/3", '
+            '"factors": [["2", 1], ["12", 1]]}, {"coeff": "1/3", "factors": [["2", '
+            '2], ["1", 1]]}]}\n'),
+    },
+    ('bell', '--n', '3', '--dual'): {
+        'text': ('B*(3,0): 0\nB*(3,1): 1*E(122)\nB*(3,2): 1*E(112) + '
+            '3*E(12)*E(1)\nB*(3,3): 1*E(1)^3\n'),
+        'json': ('B*(3,0): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": '
+            '[]}\nB*(3,1): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": '
+            '[{"coeff": "1", "factors": [["122", 1]]}]}\nB*(3,2): {"ring": "Q", '
+            '"basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", "factors": '
+            '[["112", 1]]}, {"coeff": "3", "factors": [["12", 1], ["1", '
+            '1]]}]}\nB*(3,3): {"ring": "Q", "basis": "pbw", "alphabet": 2, '
+            '"terms": [{"coeff": "1", "factors": [["1", 3]]}]}\n'),
+    },
+    ('qbell', '--n', '3'): {
+        'text': ('1*E(112) + (-1*q + -1*q^2)*E(121) + 1*E(122) + q^3*E(211) + 1*E(212) '
+            '+ (-1*q + -1*q^2)*E(221) + 1*E(222)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "word": "112"}, {"coeff": "-1*q + -1*q^2", "word": "121"}, '
+            '{"coeff": "1", "word": "122"}, {"coeff": "q^3", "word": "211"}, '
+            '{"coeff": "1", "word": "212"}, {"coeff": "-1*q + -1*q^2", "word": '
+            '"221"}, {"coeff": "1", "word": "222"}]}\n'),
+    },
+    ('ore', '--n', '2', '--sigma', 'grading'): {
+        'text': ('coeff of x^2: 1*E(e)\ncoeff of x^1: (1 + q)*E(2)\ncoeff of x^0: '
+            '1*E(12) + -1*q*E(21) + 1*E(22)\n'),
+        'json': ('coeff of x^2: {"ring": "Q[q]", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "1", "word": "e"}]}\ncoeff of x^1: {"ring": '
+            '"Q[q]", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1 + q", '
+            '"word": "2"}]}\ncoeff of x^0: {"ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": "12"}, {"coeff": '
+            '"-1*q", "word": "21"}, {"coeff": "1", "word": "22"}]}\n'),
+    },
+    ('quotient', 'weyl', '--d', '3'): {
+        'text': ('1*E(1)^3 + 3*E(12)*E(1) + 3*E(2)*E(1)^2 + 3*E(2)*E(12) + '
+            '3*E(2)^2*E(1) + 1*E(2)^3\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["1", 3]]}, {"coeff": "3", "factors": [["12", 1], ["1", '
+            '1]]}, {"coeff": "3", "factors": [["2", 1], ["1", 2]]}, {"coeff": "3", '
+            '"factors": [["2", 1], ["12", 1]]}, {"coeff": "3", "factors": [["2", '
+            '2], ["1", 1]]}, {"coeff": "1", "factors": [["2", 3]]}]}\n'),
+    },
+    ('quotient', 'kill', '--set', '12', '--expr', '(E(1)+E(2))^3'): {
+        'text': ('1*E(1)^3 + 1*E(112) + 1*E(122) + 3*E(2)*E(1)^2 + 3*E(2)^2*E(1) + '
+            '1*E(2)^3\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["1", 3]]}, {"coeff": "1", "factors": [["112", 1]]}, '
+            '{"coeff": "1", "factors": [["122", 1]]}, {"coeff": "3", "factors": '
+            '[["2", 1], ["1", 2]]}, {"coeff": "3", "factors": [["2", 2], ["1", '
+            '1]]}, {"coeff": "1", "factors": [["2", 3]]}]}\n'),
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_output_is_byte_stable(capsys, argv, fmt):
+    assert main([*argv, "--format", fmt]) == 0
+    assert capsys.readouterr() == (GOLDEN[argv][fmt], "")

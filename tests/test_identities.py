@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from ncbinom.freepoly import FreePoly, sh_multidegree
+from ncbinom.freepoly import FreePoly
 from ncbinom.identities import (a_word, faa_composition_sum,
                                 faa_di_bruno_check, q_binomial_theorem_check,
                                 qbinom_cyclotomic_vanish,

@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 
 from ncbinom import pbw, quotients, verify
@@ -45,6 +43,12 @@ class TestLieIdealClosure:
     def test_non_lyndon_generator_rejected(self):
         with pytest.raises(ValueError):
             lie_ideal_closure([(2, 1)], 4)
+
+    def test_ideal_mixing_basis_elements_refused(self):
+        # the Lie ideal generated by E_112 holds a combination of E_11222
+        # and E_12122 but neither alone, so it has no basis of LS elements
+        with pytest.raises(IdealNotMonomial, match=r"\(1, 1, 2, 2, 2\), \(1, 2, 1, 2, 2\)"):
+            lie_ideal_closure([(1, 1, 2)], 5)
 
 
 class TestWeyl:

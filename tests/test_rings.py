@@ -102,8 +102,14 @@ class TestQPoly:
 
     def test_evaluate(self):
         p = QPoly((1, 2, 1))  # (1+q)^2
-        assert p(1) == 4
+        assert p(1) == 4 and type(p(1)) is int
+        assert type(QPoly((1, 1))(1)) is int
         assert p(Fraction(1, 2)) == Fraction(9, 4)
+
+    def test_evaluate_refuses_float(self):
+        for q in (0.5, 1.0, "1"):
+            with pytest.raises(TypeError):
+                QPoly((1, 1))(q)
 
     def test_subs_q_power(self):
         assert q_integer(3).subs_q_power(2) == QPoly((1, 0, 1, 0, 1))
