@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +24,13 @@ from .words import (cfl_factorize, format_word, is_lyndon, lyndon_enumerate,
                     parse_word, standard_factorization)
 
 DEFAULT_DEGREE_CAP = 10
+
+# Python prints an int of at most 4300 decimal digits by default.  A larger
+# coefficient is refused: as a literal, as a power or product whose size is
+# bounded in bits before it is computed, and in the result of ``pbw``.
+COEFF_DIGITS = 4300
+_COEFF_BOUND = 10 ** COEFF_DIGITS
+_COEFF_BITS = COEFF_DIGITS * math.log2(10)
 
 
 class UsageError(Exception):
@@ -55,10 +63,13 @@ class _Parser:
         self.m = m
         self.max_degree = max_degree
 
-    def guard(self, degree):
-        """Refuse a word or product above the cap before it is expanded."""
+    def guard(self, degree, bits=0):
+        """Refuse a word or product above the degree cap, or with a coefficient
+        that may reach ``COEFF_DIGITS`` digits, before it is expanded."""
         if self.max_degree is not None:
             _degree_guard(degree, self.max_degree)
+        if bits > _COEFF_BITS:
+            raise UsageError(f"a coefficient could exceed {COEFF_DIGITS} digits")
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -94,7 +105,7 @@ class _Parser:
         while self.peek() == "*":
             self.take()
             q = self.factor()
-            self.guard(_degree(p) + _degree(q))
+            self.guard(_degree(p) + _degree(q), _bits(p) + _bits(q))
             p = p * q
         return p
 
@@ -107,7 +118,7 @@ class _Parser:
                 raise UsageError("power must be a nonnegative integer")
             # a constant's exponent is capped as a letter's is: 3^33333 would
             # run 33333 products and give an int too long to print
-            self.guard(max(_degree(atom), 1) * int(n))
+            self.guard(max(_degree(atom), 1) * int(n), _bits(atom) * int(n))
             atom = atom ** int(n)
         return atom
 
@@ -124,6 +135,8 @@ class _Parser:
             if self.take() != ")":
                 raise UsageError("missing closing parenthesis")
             return p
+        if max(map(len, t.split("/"))) > COEFF_DIGITS:
+            raise UsageError(f"a number has more than {COEFF_DIGITS} digits")
         if "/" in t:
             if int(t.partition("/")[2]) == 0:
                 raise UsageError(f"zero denominator in {t!r}")
@@ -139,6 +152,16 @@ def parse_expression(s: str, m: int = 2, max_degree: int = None) -> FreePoly:
 
 def _degree(f: FreePoly) -> int:
     return max((len(w) for w in f.terms), default=0)
+
+
+def _bits(f: FreePoly) -> float:
+    """log2 of the sum of |numerator| over f's coefficients, or of their
+    largest denominator if that is larger.  A product with the factor f adds
+    at most this many bits to integral coefficients, since none exceeds the
+    sum; for a constant, c^n has exactly n times its bits."""
+    cs = f.terms.values()
+    return math.log2(max(sum(abs(c.numerator) for c in cs),
+                         max((c.denominator for c in cs), default=1), 1))
 
 
 # -- argument validation -----------------------------------------------------
@@ -254,6 +277,9 @@ def cmd_binom(args):
 
 def cmd_pbw(args):
     poly = pbw_rewrite(parse_expression(args.expr, args.alphabet, args.max_degree))
+    if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
+           for c in poly.terms.values()):
+        raise UsageError(f"a coefficient has more than {COEFF_DIGITS} digits")
     if args.modulus is not None:
         try:
             poly = reduce_mod_p(poly, args.modulus)

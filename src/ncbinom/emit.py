@@ -10,7 +10,8 @@ and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
   ``E_{α}^{t}``; a coefficient of ±1 shows only its sign and a negative term
   joins with ``-``: ``3x_{1}x_{2}-x_{2}``, ``2E_{12}^{2}E_{1}-E_{2}``.
 - JSON documents round-trip losslessly: {"ring": ..., "basis": "word"|"pbw",
-  "alphabet": m, "terms": [...]} with coefficients rendered as strings.
+  "alphabet": m, "terms": [...]} with coefficients rendered as strings.  The
+  ring tag is read from every coefficient: one q-polynomial makes it Q[q].
 
 Text and JSON are the byte-stable forms.
 """
@@ -120,8 +121,17 @@ def _json_term(basis: str, factors, m: int) -> dict:
     return {"factors": [[format_word(a, m), t] for a, t in factors]}
 
 
+def _poly_ring(p) -> str:
+    """The ring tag of all of p's coefficients: an int or Fraction among
+    q-polynomials or GF(p) elements is read in their ring; an empty p is Q."""
+    tags = {ring_tag(c) for c in p.terms.values()} - {"Q"}
+    if len(tags) > 1:
+        raise TypeError(f"coefficients from different rings: {', '.join(sorted(tags))}")
+    return tags.pop() if tags else "Q"
+
+
 def emit_json(p) -> dict:
-    ring = ring_tag(next(iter(p.terms.values()), 0))
+    ring = _poly_ring(p)
     terms = [{"coeff": str(c), **_json_term(p.basis, factors, p.m)}
              for factors, c in p.walk()]
     return {"ring": ring, "basis": p.basis, "alphabet": p.m, "terms": terms}

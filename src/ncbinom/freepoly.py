@@ -3,6 +3,14 @@
 Coefficients are duck-typed: int, Fraction, QPoly and ModInt all work, as
 long as both operands of a mixed operation know how to combine.  Zero terms
 are never stored.
+
+The invariant is kept at the boundary and trusted inside.  The public
+constructor drops every zero coefficient it is given; the results of the
+arithmetic here are built by ``_make``, which takes the dict as it is.  A sum
+or difference deletes a key whose coefficient cancels, and a product with a
+one-term factor is built term by term: its keys cannot collide, and over
+Z, Q, GF(p) and Q[q] a product of nonzero coefficients is nonzero (only an
+int multiple of p times a ModInt can vanish, and that case is filtered).
 """
 
 from __future__ import annotations
@@ -37,8 +45,17 @@ class SparseCombination:
         self.terms = t
 
     @classmethod
+    def _make(cls, terms: dict, m: int):
+        """The combination with these terms, taken as they are: for results
+        of arithmetic whose coefficients are already nonzero."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p.m = m
+        return p
+
+    @classmethod
     def zero(cls, m: int = 2):
-        return cls({}, m)
+        return cls._make({}, m)
 
     def _check(self, other):
         if self.m != other.m:
@@ -48,18 +65,28 @@ class SparseCombination:
         self._check(other)
         t = dict(self.terms)
         for w, c in other.terms.items():
-            t[w] = t[w] + c if w in t else c
-        return type(self)(t, self.m)
+            if w not in t:
+                t[w] = c
+            elif s := t[w] + c:
+                t[w] = s
+            else:
+                del t[w]
+        return self._make(t, self.m)
 
     def __sub__(self, other):
         self._check(other)
         t = dict(self.terms)
         for w, c in other.terms.items():
-            t[w] = t[w] - c if w in t else -c
-        return type(self)(t, self.m)
+            if w not in t:
+                t[w] = -c
+            elif s := t[w] - c:
+                t[w] = s
+            else:
+                del t[w]
+        return self._make(t, self.m)
 
     def __neg__(self):
-        return type(self)({w: -c for w, c in self.terms.items()}, self.m)
+        return self._make({w: -c for w, c in self.terms.items()}, self.m)
 
     def scale(self, c):
         return type(self)({w: c * x for w, x in self.terms.items()}, self.m)
@@ -143,12 +170,18 @@ class FreePoly(SparseCombination):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         self._check(other)
-        t = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u + v
-                c = a * b
-                t[w] = t[w] + c if w in t else c
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # one factor is a single term: the keys u + v are distinct
+            t = {u + v: a * b for u, a in self.terms.items() for v, b in other.terms.items()}
+            if all(t.values()):
+                return FreePoly._make(t, self.m)
+        else:
+            t = {}
+            for u, a in self.terms.items():
+                for v, b in other.terms.items():
+                    w = u + v
+                    c = a * b
+                    t[w] = t[w] + c if w in t else c
         return FreePoly(t, self.m)
 
     def __rmul__(self, other):

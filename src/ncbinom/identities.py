@@ -49,9 +49,10 @@ def quantum_plane_normal_order(f: FreePoly):
     """Normal-order a polynomial over {g, h} with relation g h = q h g.
 
     Returns a dict (h_count, g_count) -> QPoly; each word contributes
-    q^(number of (g, h) inversions, g left of h).
+    q^(number of (g, h) inversions, g left of h).  The rational coefficients
+    of f are summed per (key, inversions), and one QPoly is built per key.
     """
-    out = {}
+    rows = {}
     for w, c in f.terms.items():
         inversions = 0
         seen_g = 0
@@ -60,11 +61,13 @@ def quantum_plane_normal_order(f: FreePoly):
                 seen_g += 1
             else:
                 inversions += seen_g
-        key = (sum(1 for x in w if x == _H), sum(1 for x in w if x == _G))
-        term = QPoly.q(inversions) * c
-        out[key] = out[key] + term if key in out else term
-        if not out[key]:
-            del out[key]
+        row = rows.setdefault((w.count(_H), seen_g), {})
+        row[inversions] = row.get(inversions, 0) + c
+    out = {}
+    for key, row in rows.items():
+        p = QPoly([row.get(i, 0) for i in range(max(row) + 1)])
+        if p:
+            out[key] = p
     return out
 
 

@@ -7,6 +7,13 @@ binomials.  Every q-object of the paper lies in Z[q], so ``QPoly`` keeps
 integral coefficients as ``int`` and uses ``Fraction`` only for a coefficient
 that is not an integer (parsed Q[q] input, say).  Floats are refused.
 Everything is immutable and exact.
+
+Coefficients are validated at the boundary, not inside the arithmetic.  The
+public ``QPoly`` constructor (and so every parser) normalises each input
+coefficient through ``_exact_coeff``.  The results of ``QPoly``'s own
+arithmetic are built by ``_qpoly``, which trusts them: int and Fraction are
+closed under ring operations, so it only trims trailing zeros and turns a
+Fraction that became integral back into an int.
 """
 
 from __future__ import annotations
@@ -153,6 +160,21 @@ def _exact_coeff(c):
                     f"not {type(c).__name__}")
 
 
+def _qpoly(cs: list) -> "QPoly":
+    """The QPoly with the exact coefficients cs (a list it may modify).
+
+    For results of QPoly arithmetic only: no coefficient is type-checked.
+    """
+    while cs and not cs[-1]:
+        cs.pop()
+    if Fraction in map(type, cs):
+        cs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+              for c in cs]
+    p = object.__new__(QPoly)
+    p.coeffs = tuple(cs)
+    return p
+
+
 class QPoly:
     """Polynomial in q with exact coefficients, lowest degree first.
 
@@ -173,19 +195,19 @@ class QPoly:
 
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly((c,))
+        return _qpoly([_exact_coeff(c)])
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly(())
+        return _qpoly([])
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly((1,))
+        return _qpoly([1])
 
     @staticmethod
     def q(power: int = 1) -> "QPoly":
-        return QPoly((0,) * power + (1,))
+        return _qpoly([0] * power + [1])
 
     @property
     def degree(self) -> int:
@@ -202,15 +224,18 @@ class QPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = o.coeffs + (0,) * (n - len(o.coeffs))
-        return QPoly(x + y for x, y in zip(a, b))
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += y
+        return _qpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(-c for c in self.coeffs)
+        return _qpoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -233,7 +258,7 @@ class QPoly:
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] += a * b
-        return QPoly(out)
+        return _qpoly(out)
 
     __rmul__ = __mul__
 
@@ -277,7 +302,7 @@ class QPoly:
         out = [0] * (self.degree * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
-        return QPoly(out)
+        return _qpoly(out)
 
     def __repr__(self):
         return f"QPoly({list(self.coeffs)})"
@@ -301,7 +326,7 @@ def q_integer(n: int) -> QPoly:
     """(n)_q = 1 + q + ... + q^(n-1); (0)_q = 0."""
     if n < 0:
         raise ValueError("q-integer of negative n")
-    return QPoly((1,) * n)
+    return _qpoly([1] * n)
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +377,7 @@ def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
                 rem[i - db + j] -= c * bc
     if any(c != 0 for c in rem):
         raise DivisionNotExact(f"nonzero remainder dividing {a} by {b}")
-    return QPoly(quot)
+    return _qpoly(quot)
 
 
 @lru_cache(maxsize=None)

@@ -206,6 +206,13 @@ class TestExitCodes:
         ("pbw", "--expr", "E(111111111111)"),
         ("pbw", "--expr", "3^33333"),
         ("pbw", "--expr", "E()^99999999"),
+        ("pbw", "--expr", "((((((3^6)^6)^6)^6)^6)^6)"),
+        ("pbw", "--expr", "3^9999", "--max-degree", "9999"),
+        ("pbw", "--expr", "2^14287", "--max-degree", "20000"),
+        ("pbw", "--expr", "9" * 4301),
+        ("pbw", "--expr", "1/" + "7" * 4301),
+        ("pbw", "--expr", "9" * 4300 + "+1"),
+        ("pbw", "--expr", "9" * 3000 + "*" + "9" * 3000),
         ("sh", "--degree", "2,3", "--ring", "GF:5"),
         ("sh", "--degree", "0,5", "--pbw", "--ring", "GF:5"),
         ("binom", "--degree", "2", "--ring", "GF:3317044064679887385961981"),
@@ -216,6 +223,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr, value", [
+        ("9" * 4300, 10 ** 4300 - 1),
+        ("2^14284", 2 ** 14284),           # 4300 digits
+        ("(((3^6)^6)^6)^6", 3 ** 1296),
+        ("(2*E(1)+E(2))^10", 2 ** 10),     # coefficient of E(1)^10
+    ])
+    def test_coefficients_up_to_the_digit_limit_print(self, capsys, expr, value):
+        code, out, err = run(capsys, "pbw", "--expr", expr, "--max-degree", "20000")
+        assert code == 0 and err == ""
+        assert out.startswith(f"{value}*")
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "sigma.json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncbinom.cli import main
 from ncbinom.emit import (coeff_from_str, emit, emit_json, emit_latex,
                           emit_text, parse_json)
 from ncbinom.freepoly import FreePoly
@@ -128,6 +129,25 @@ class TestJson:
         doc = emit_json(FreePoly.word((1, 2)))
         assert doc["basis"] == "word"
         assert doc["terms"] == [{"coeff": "1", "word": "12"}]
+
+    def test_ring_tag_read_from_every_coefficient(self):
+        # an int coefficient first, q-polynomials after: the document is Q[q]
+        p = FreePoly({(1,): 1, (2,): QPoly((0, -1, -1)), (2, 2): Fraction(1, 2)}, 2)
+        doc = emit_json(p)
+        assert doc["ring"] == "Q[q]"
+        assert parse_json(doc) == p
+        assert emit_json(FreePoly({(1,): 3, (2,): ModInt(2, 5)}, 2))["ring"] == "GF:5"
+        assert emit_json(FreePoly.zero(2))["ring"] == "Q"
+        with pytest.raises(TypeError, match="different rings"):
+            emit_json(FreePoly({(1,): QPoly((1, 1)), (2,): ModInt(2, 5)}, 2))
+
+    @pytest.mark.parametrize("argv", [("qbell", "--n", "4"), ("binom", "--degree", "4"),
+                                      ("binom", "--degree", "4", "--ring", "GF:3")])
+    def test_cli_json_round_trips(self, capsys, argv):
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "text"]) == 0
+        assert str(parse_json(doc)) == capsys.readouterr().out.strip()
 
     def test_emit_dispatch(self):
         p = FreePoly.word((1,))
