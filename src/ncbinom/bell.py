@@ -9,11 +9,11 @@ the argument order the filter identity needs.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .freepoly import FreePoly, commutator
 from .pbw import PBWPoly, enumerate_pbw_monomials, pbw_rewrite
-from .rings import exponent_vectors, factorial
+from .rings import exponent_vectors
 from .shuffle import coeff_closed_form, sh_pbw
 
 _X = FreePoly.letter(1, 2)

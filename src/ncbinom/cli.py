@@ -354,8 +354,8 @@ def _operator_from_spec(path: str, kind: str, sigma=None):
         m = spec.get("alphabet", 2)
         images = {int(x): parse_json(doc) for x, doc in spec["images"].items()}
         if kind == "endomorphism":
-            return qsigma.Endomorphism(images, m)
-        return qsigma.GenDerivation(images, sigma, m)
+            return qsigma.endomorphism(images, m)
+        return qsigma.gen_derivation(images, sigma, m)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise UsageError(f"cannot read {kind} spec {path!r}: {e}")
 
@@ -365,13 +365,13 @@ def cmd_ore(args):
     if args.sigma_spec:
         sigma = _operator_from_spec(args.sigma_spec, "endomorphism")
     elif args.sigma == "grading":
-        sigma = qsigma.GradingSigma(2)
+        sigma = qsigma.grading_sigma
     else:
-        sigma = qsigma.IdentityOp()
+        sigma = qsigma.identity
     if args.delta_spec:
         delta = _operator_from_spec(args.delta_spec, "derivation", sigma)
     else:
-        delta = qsigma.AdSigma(FreePoly.letter(1, 2), sigma)
+        delta = qsigma.ad_sigma(FreePoly.letter(1, 2), sigma)
     coeffs = qsigma.ore_binomial(args.n, sigma, delta)
     for k, c in enumerate(coeffs):
         print(f"coeff of x^{args.n - k}: ", end="")
@@ -485,6 +485,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # argparse 3.10-3.12 parses ``--opt=--`` as an empty list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise UsageError(f"--{name.replace('_', '-')} expects one value")
         _check_bounds(args)
         if hasattr(args, "ring"):
             args.modulus = _parse_ring(args.ring, args.modular)

@@ -1,9 +1,11 @@
-"""Binomial expansions driven by an endomorphism sigma and its adjoint derivation.
+"""Binomial expansions driven by an endomorphism sigma and a sigma-derivation.
 
-Operators are small immutable composition trees applied lazily to free
-polynomials.  The central objects are the operator-valued shuffle polynomials
-SH-hat built from ad_sigma(x) + y and sigma, their factorization through the
-shifted operators D_m, and the q-specialization giving q-Bell differential
+A sigma-operator is any callable FreePoly -> FreePoly: ``identity``,
+``grading_sigma``, or the closures built by ``ad_sigma``, ``endomorphism``,
+``gen_derivation`` and ``step``.  The central objects are the operator-valued
+shuffle polynomials SH-hat built from the step f -> delta(f) + y*f and sigma,
+with delta = ad_sigma(x) for the binomial theorem; their factorization through
+the shifted steps D_m; and the q-specialization giving q-Bell differential
 polynomials over Q[q].
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from functools import lru_cache
 from math import comb
 
@@ -18,128 +21,71 @@ from .bell import bell_word
 from .freepoly import FreePoly
 from .rings import QPoly, q_binomial
 
+Op = Callable[[FreePoly], FreePoly]
 
-class NotUnital(ValueError):
-    """An endomorphism must send 1 to 1."""
+_X = FreePoly.letter(1, 2)
+_Y = FreePoly.letter(2, 2)
 
 
 class NotASigmaDerivation(ValueError):
     """The sigma-Leibniz law failed on a test pair."""
 
 
-class Operator:
-    """Base class: a linear map on FreePoly, applied via __call__."""
-
-    def __call__(self, f: FreePoly) -> FreePoly:
-        raise NotImplementedError
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return OpSum(self, other)
-
-    def power(self, n: int) -> "Operator":
-        op = IdentityOp()
-        for _ in range(n):
-            op = OpCompose(self, op)
-        return op
+def identity(f: FreePoly) -> FreePoly:
+    return f
 
 
-class IdentityOp(Operator):
-    def __call__(self, f):
-        return f
+def grading_sigma(f: FreePoly) -> FreePoly:
+    """sigma(w) = q^{|w|} w on each word; multiplicative, fixes the unit."""
+    return FreePoly({w: QPoly.q(len(w)) * c for w, c in f.terms.items()}, f.m)
 
 
-class Endomorphism(Operator):
-    """Algebra endomorphism given by the images of the generators."""
+def ad_sigma(x: FreePoly, sigma: Op) -> Op:
+    """ad_sigma(x): f -> x*f - sigma(f)*x, a sigma-derivation."""
+    return lambda f: x * f - sigma(f) * x
 
-    def __init__(self, images, m: int = 2, unit_image=None):
-        self.m = m
-        self.images = {x: images[x] for x in range(1, m + 1)}
-        if unit_image is not None and unit_image != FreePoly.unit(m):
-            raise NotUnital("endomorphism must fix the unit")
 
-    def __call__(self, f: FreePoly) -> FreePoly:
+def step(delta: Op, y: FreePoly) -> Op:
+    """f -> delta(f) + y*f, the step of the binomial recursion."""
+    return lambda f: delta(f) + y * f
+
+
+def endomorphism(images, m: int = 2) -> Op:
+    """Algebra endomorphism given by the images of the generators 1..m."""
+    images = {x: images[x] for x in range(1, m + 1)}
+
+    def phi(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
         for w, c in f.terms.items():
             img = FreePoly.unit(f.m)
             for x in w:
-                img = img * self.images[x]
+                img = img * images[x]
             out = out + img.scale(c)
         return out
+    return phi
 
 
-def identity_endomorphism(m: int = 2) -> Endomorphism:
-    return Endomorphism({x: FreePoly.letter(x, m) for x in range(1, m + 1)}, m)
-
-
-class GradingSigma(Operator):
-    """sigma(w) = q^{|w|} w on each word; multiplicative, fixes the unit."""
-
-    def __init__(self, m: int = 2):
-        self.m = m
-
-    def __call__(self, f: FreePoly) -> FreePoly:
-        return FreePoly({w: QPoly.q(len(w)) * c for w, c in f.terms.items()}, f.m)
-
-
-class AdSigma(Operator):
-    """ad_sigma(x): f -> x*f - sigma(f)*x, a sigma-derivation."""
-
-    def __init__(self, x: FreePoly, sigma: Operator):
-        self.x = x
-        self.sigma = sigma
-
-    def __call__(self, f: FreePoly) -> FreePoly:
-        return self.x * f - self.sigma(f) * self.x
-
-
-class GenDerivation(Operator):
-    """sigma-derivation defined by images of the generators.
+def gen_derivation(images, sigma: Op, m: int = 2) -> Op:
+    """sigma-derivation defined by images of the generators 1..m.
 
     Extended by the Leibniz rule: on a word x_1...x_n the value is
     sum_i sigma(x_1...x_{i-1}) * delta(x_i) * x_{i+1}...x_n.
     """
+    images = {x: images[x] for x in range(1, m + 1)}
 
-    def __init__(self, images, sigma: Operator, m: int = 2):
-        self.m = m
-        self.images = {x: images[x] for x in range(1, m + 1)}
-        self.sigma = sigma
-
-    def __call__(self, f: FreePoly) -> FreePoly:
+    def delta(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
         for w, c in f.terms.items():
             for i, letter in enumerate(w):
-                part = (self.sigma(FreePoly.word(w[:i], f.m))
-                        * self.images[letter]
+                part = (sigma(FreePoly.word(w[:i], f.m))
+                        * images[letter]
                         * FreePoly.word(w[i + 1:], f.m))
                 out = out + part.scale(c)
         return out
+    return delta
 
 
-class LeftMul(Operator):
-    def __init__(self, y: FreePoly):
-        self.y = y
-
-    def __call__(self, f):
-        return self.y * f
-
-
-class OpSum(Operator):
-    def __init__(self, a: Operator, b: Operator):
-        self.a, self.b = a, b
-
-    def __call__(self, f):
-        return self.a(f) + self.b(f)
-
-
-class OpCompose(Operator):
-    def __init__(self, a: Operator, b: Operator):
-        self.a, self.b = a, b
-
-    def __call__(self, f):
-        return self.a(self.b(f))
-
-
-def check_sigma_derivation(delta: Operator, sigma: Operator, m: int = 2,
+def check_sigma_derivation(delta: Op, sigma: Op, m: int = 2,
                            trials: int = 20, max_len: int = 3, seed: int = 7):
     """Property-test delta(uv) = delta(u)v + sigma(u)delta(v) on random words."""
     rng = random.Random(seed)
@@ -151,7 +97,7 @@ def check_sigma_derivation(delta: Operator, sigma: Operator, m: int = 2,
                 f"Leibniz law failed on {u!r}, {v!r}")
 
 
-def _sh_hat_rows(widths, step: Operator, sigma: Operator, seed: FreePoly):
+def _sh_hat_rows(widths, step: Op, sigma: Op, seed: FreePoly):
     """Rows of v[i][j] = sigma(v[i][j-1]) + step(v[i-1][j]), one per width.
 
     v[0][j] = sigma^j(seed) and v[i][0] = step(v[i-1][0]); row i holds
@@ -169,7 +115,13 @@ def _sh_hat_rows(widths, step: Operator, sigma: Operator, seed: FreePoly):
         yield row
 
 
-def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Operator,
+def _sh_hat_coeffs(n: int, step: Op, sigma: Op, seed: FreePoly) -> list:
+    """[SH-hat_{k,n-k}(step, sigma)(seed) for k = 0..n], read off one triangle."""
+    rows = _sh_hat_rows(range(n + 1, 0, -1), step, sigma, seed)
+    return [row[n - k] for k, row in enumerate(rows)]
+
+
+def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Op,
                  seed: FreePoly = None) -> FreePoly:
     """Value of the operator shuffle polynomial SH-hat_{k,j} on a seed element.
 
@@ -179,50 +131,37 @@ def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Operator,
         raise ValueError("negative index")
     if seed is None:
         seed = FreePoly.unit(x.m)
-    for row in _sh_hat_rows([j + 1] * (k + 1), AdSigma(x, sigma) + LeftMul(y), sigma, seed):
+    for row in _sh_hat_rows([j + 1] * (k + 1), step(ad_sigma(x, sigma), y), sigma, seed):
         pass
     return row[j]
 
 
-def theorem_b_verify(n: int, sigma: Operator) -> bool:
+def theorem_b_verify(n: int, sigma: Op) -> bool:
     """Check (x+y)^n = sum_k SH-hat_{k,n-k}(1) x^{n-k} for letters x=1, y=2."""
-    x = FreePoly.letter(1, 2)
-    y = FreePoly.letter(2, 2)
+    coeffs = _sh_hat_coeffs(n, step(ad_sigma(_X, sigma), _Y), sigma, FreePoly.unit(2))
     total = FreePoly.zero(2)
-    for k in range(n + 1):
-        total = total + sh_hat_apply(k, n - k, x, y, sigma) * x ** (n - k)
-    return total == (x + y) ** n
+    for k, c in enumerate(coeffs):
+        total = total + c * _X ** (n - k)
+    return total == (_X + _Y) ** n
 
 
-class DShift(Operator):
-    """D_m = ad_sigma(sigma^m(x)) + sigma^m(y), the m-shifted step operator."""
-
-    def __init__(self, m_shift: int, x: FreePoly, y: FreePoly, sigma: Operator):
-        xm, ym = x, y
-        for _ in range(m_shift):
-            xm, ym = sigma(xm), sigma(ym)
-        self.inner = AdSigma(xm, sigma) + LeftMul(ym)
-
-    def __call__(self, f):
-        return self.inner(f)
-
-
-def d_m_factorization_check(n: int, k: int, sigma: Operator,
-                            basket=None) -> bool:
-    """SH-hat_{k,n-k} = sum over 0<=m_1<=...<=m_k<=n-k of D_{m_1}...D_{m_k} sigma^{n-k}.
+def d_m_factorization_check(n: int, k: int, sigma: Op) -> bool:
+    """SH-hat_{k,n-k} = sum over 0<=m_1<=...<=m_k<=n-k of D_{m_1}...D_{m_k} sigma^{n-k},
+    where D_m = ad_sigma(sigma^m(x)) + sigma^m(y) is the m-shifted step.
 
     Verified by applying both sides to a basket of test elements.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    x = FreePoly.letter(1, 2)
-    y = FreePoly.letter(2, 2)
-    if basket is None:
-        basket = [FreePoly.unit(2), x, y, x * y + y * x]
-    ds = {m: DShift(m, x, y, sigma) for m in range(n - k + 1)}
-    for f in basket:
-        lhs = sh_hat_apply(k, n - k, x, y, sigma, f)
-        g0 = sigma.power(n - k)(f) if n > k else f
+    ds, xm, ym = [], _X, _Y
+    for _ in range(n - k + 1):
+        ds.append(step(ad_sigma(xm, sigma), ym))
+        xm, ym = sigma(xm), sigma(ym)
+    for f in (FreePoly.unit(2), _X, _Y, _X * _Y + _Y * _X):
+        lhs = sh_hat_apply(k, n - k, _X, _Y, sigma, f)
+        g0 = f
+        for _ in range(n - k):
+            g0 = sigma(g0)
         rhs = FreePoly.zero(2)
         for ms in itertools.combinations_with_replacement(range(n - k + 1), k):
             g = g0
@@ -234,12 +173,7 @@ def d_m_factorization_check(n: int, k: int, sigma: Operator,
     return True
 
 
-def _xq():
-    return FreePoly.letter(1, 2)
-
-
-def _yq():
-    return FreePoly.letter(2, 2)
+_AD_Q = ad_sigma(_X, grading_sigma)
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +181,8 @@ def qbell(n: int) -> FreePoly:
     """(ad_q x + y)^n applied to 1, over Q[q]."""
     if n == 0:
         return FreePoly.unit(2)
-    sigma = GradingSigma(2)
-    d0 = AdSigma(_xq(), sigma) + LeftMul(_yq())
-    return d0(qbell(n - 1))
+    prev = qbell(n - 1)
+    return _AD_Q(prev) + _Y * prev
 
 
 @lru_cache(maxsize=None)
@@ -264,17 +197,15 @@ def qbell_partial(n: int, k: int) -> FreePoly:
         return FreePoly.unit(2)
     if k == 0 or k > n:
         return FreePoly.zero(2)
-    sigma = GradingSigma(2)
-    adq = AdSigma(_xq(), sigma)
-    return _yq() * qbell_partial(n - 1, k - 1) + adq(qbell_partial(n - 1, k))
+    return _Y * qbell_partial(n - 1, k - 1) + _AD_Q(qbell_partial(n - 1, k))
 
 
 @lru_cache(maxsize=None)
 def y_derivative_q(k: int) -> FreePoly:
     """y^(k): iterated ad_q x of y, with y^(0) = y."""
     if k == 0:
-        return _yq()
-    return AdSigma(_xq(), GradingSigma(2))(y_derivative_q(k - 1))
+        return _Y
+    return _AD_Q(y_derivative_q(k - 1))
 
 
 def qbell_partial_alt(n: int, k: int) -> FreePoly:
@@ -296,12 +227,11 @@ def qbell_partial_alt(n: int, k: int) -> FreePoly:
 
 def binomial_q_verify(n: int) -> bool:
     """(x+y)^n = sum_k binom(n,k)_q qbell(k) x^{n-k} in Q[q]<x,y>."""
-    x, y = _xq(), _yq()
     total = FreePoly.zero(2)
     for k in range(n + 1):
-        part = qbell(k) * x ** (n - k)
+        part = qbell(k) * _X ** (n - k)
         total = total + part.map_coeffs(lambda c, b=q_binomial(n, k): b * c)
-    return total == (x + y) ** n
+    return total == (_X + _Y) ** n
 
 
 def qbell_at_one(n: int) -> FreePoly:
@@ -309,7 +239,7 @@ def qbell_at_one(n: int) -> FreePoly:
     return qbell(n).map_coeffs(lambda c: c(1) if isinstance(c, QPoly) else c)
 
 
-def ore_binomial(n: int, sigma: Operator, delta: Operator, m: int = 2):
+def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
     """Coefficient list [SH_{k,n-k}(delta + y, sigma)(1)] of (x+y)^n when
     xy = sigma(y)x + delta(y).
 
@@ -318,17 +248,10 @@ def ore_binomial(n: int, sigma: Operator, delta: Operator, m: int = 2):
     if n < 0:
         raise ValueError("negative power")
     check_sigma_derivation(delta, sigma, m)
-    step = delta + LeftMul(FreePoly.letter(2, m))
-    rows = _sh_hat_rows(range(n + 1, 0, -1), step, sigma, FreePoly.unit(m))
-    return [row[n - k] for k, row in enumerate(rows)]
+    return _sh_hat_coeffs(n, step(delta, FreePoly.letter(2, m)), sigma, FreePoly.unit(m))
 
 
 def bell_compare_sigma_id(n: int) -> bool:
     """With sigma = id: SH-hat_{k,n-k}(1) = binom(n,k) * (ad x + y)^k(1)."""
-    x = FreePoly.letter(1, 2)
-    y = FreePoly.letter(2, 2)
-    sigma = IdentityOp()
-    for k in range(n + 1):
-        if sh_hat_apply(k, n - k, x, y, sigma) != bell_word(k).scale(comb(n, k)):
-            return False
-    return True
+    coeffs = _sh_hat_coeffs(n, step(ad_sigma(_X, identity), _Y), identity, FreePoly.unit(2))
+    return coeffs == [bell_word(k).scale(comb(n, k)) for k in range(n + 1)]

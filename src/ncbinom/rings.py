@@ -18,7 +18,6 @@ Fraction that became integral back into an int.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -391,10 +390,6 @@ def cyclotomic(n: int) -> QPoly:
         if n % d == 0:
             den = den * cyclotomic(d)
     return qpoly_exact_div(num, den)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def exponent_vectors(n: int, weights, k: int = None):

@@ -9,12 +9,13 @@ divisibility check.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .freepoly import FreePoly, sh_multidegree
 from .pbw import (PBWMonomial, PBWPoly, enumerate_pbw_monomials,
                   monomial_degree, monomial_from_word, pbw_rewrite,
                   reduce_mod_p)
-from .rings import exponent_vectors, factorial
+from .rings import exponent_vectors
 from .words import Word, is_lyndon
 
 

@@ -143,7 +143,7 @@ def verify_lemma42(max_n: int = 7, classical_n: int = 6):
 
 def verify_theorem_b(max_n: int = 6):
     """The operator binomial formula, for sigma = id and the q-grading."""
-    sigmas = {"id": qsigma.IdentityOp(), "grading": qsigma.GradingSigma(2)}
+    sigmas = {"id": qsigma.identity, "grading": qsigma.grading_sigma}
     for name, sigma in sigmas.items():
         for n in range(max_n + 1):
             if not qsigma.theorem_b_verify(n, sigma):

@@ -156,6 +156,51 @@ class TestCommands:
         code, out, _ = run(capsys, "ore", "--n", "2", "--delta-spec", str(path))
         assert code == 0
 
+    # sigma(x1) = q x1, sigma(x2) = x2; delta(x1) = 0, delta(x2) = x1.  The
+    # expected bytes were recorded before sigma-operators became functions.
+    ORE_SPECS = {
+        "sigma": {"alphabet": 2, "images": {
+            "1": {"ring": "Q[q]", "basis": "word", "alphabet": 2,
+                  "terms": [{"coeff": "q", "word": "1"}]},
+            "2": {"ring": "Q", "basis": "word", "alphabet": 2,
+                  "terms": [{"coeff": "1", "word": "2"}]}}},
+        "delta": {"alphabet": 2, "images": {
+            "1": {"ring": "Q", "basis": "word", "alphabet": 2, "terms": []},
+            "2": {"ring": "Q", "basis": "word", "alphabet": 2,
+                  "terms": [{"coeff": "1", "word": "1"}]}}},
+    }
+    ORE_SPEC_OUTPUT = {
+        "text": (
+            'coeff of x^4: 1*E(e)\ncoeff of x^3: 4*E(2)\n'
+            'coeff of x^2: (3 + 2*q + q^2)*E(1) + 6*E(22)\n'
+            'coeff of x^1: (3 + q)*E(12) + (5 + 3*q)*E(21) + 4*E(222)\n'
+            'coeff of x^0: (2 + q)*E(11) + 1*E(122) + 2*E(212) + 3*E(221) + 1*E(2222)\n'),
+        "json": (
+            'coeff of x^4: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "1", "word": "e"}]}\n'
+            'coeff of x^3: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "4", "word": "2"}]}\n'
+            'coeff of x^2: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "3 + 2*q + q^2", "word": "1"}, {"coeff": "6", "word": "22"}]}\n'
+            'coeff of x^1: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "3 + q", "word": "12"}, {"coeff": "5 + 3*q", "word": "21"}, '
+            '{"coeff": "4", "word": "222"}]}\n'
+            'coeff of x^0: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "2 + q", "word": "11"}, {"coeff": "1", "word": "122"}, '
+            '{"coeff": "2", "word": "212"}, {"coeff": "3", "word": "221"}, '
+            '{"coeff": "1", "word": "2222"}]}\n'),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ore_nontrivial_spec_files(self, tmp_path, capsys, fmt):
+        paths = {}
+        for kind, spec in self.ORE_SPECS.items():
+            paths[kind] = tmp_path / f"{kind}.json"
+            paths[kind].write_text(json.dumps(spec))
+        code, out, err = run(capsys, "ore", "--n", "4", "--sigma-spec", str(paths["sigma"]),
+                             "--delta-spec", str(paths["delta"]), "--format", fmt)
+        assert (code, out, err) == (0, self.ORE_SPEC_OUTPUT[fmt], "")
+
     def test_verify_single_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "cyclotomic", "--max-degree", "4")
         assert code == 0
@@ -234,6 +279,28 @@ class TestExitCodes:
         code, out, err = run(capsys, "pbw", "--expr", expr, "--max-degree", "20000")
         assert code == 0 and err == ""
         assert out.startswith(f"{value}*")
+
+    @pytest.mark.parametrize("argv", [
+        ("factorize", "--word=--"),
+        ("sh", "--degree=--"),
+        ("bell", "--n=--"),
+        ("lyndon", "--max-len=--"),
+        ("binom", "--degree=--"),
+        ("binom", "--degree", "3", "--ring=--"),
+        ("binom", "--degree", "3", "--format=--"),
+        ("verify", "theorem-a", "--max-degree=--"),
+        ("ore", "--n", "2", "--sigma-spec=--"),
+        ("ore", "--n", "2", "--delta-spec=--"),
+    ])
+    def test_double_dash_option_value_is_refused(self, capsys, argv):
+        # argparse 3.10-3.12 parses --opt=-- as an empty list
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as e:
+            captured = capsys.readouterr()
+            code, out, err = e.code, captured.out, captured.err
+        assert code == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "sigma.json"
