@@ -352,7 +352,12 @@ def _operator_from_spec(path: str, kind: str, sigma=None):
         with open(path) as fh:
             spec = json.load(fh)
         m = spec.get("alphabet", 2)
-        images = {int(x): parse_json(doc) for x, doc in spec["images"].items()}
+        images = {}
+        for x, doc in spec["images"].items():
+            if doc["ring"] not in ("Q", "Q[q]"):
+                raise ValueError(f"image of {x} is over {doc['ring']}; "
+                                 f"ore works over Q and Q[q]")
+            images[int(x)] = parse_json(doc)
         if kind == "endomorphism":
             return qsigma.endomorphism(images, m)
         return qsigma.gen_derivation(images, sigma, m)

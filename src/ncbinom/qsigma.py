@@ -11,13 +11,10 @@ polynomials over Q[q].
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Callable
 from functools import lru_cache
-from math import comb
 
-from .bell import bell_word
 from .freepoly import FreePoly
 from .rings import QPoly, q_binomial
 
@@ -36,8 +33,13 @@ def identity(f: FreePoly) -> FreePoly:
 
 
 def grading_sigma(f: FreePoly) -> FreePoly:
-    """sigma(w) = q^{|w|} w on each word; multiplicative, fixes the unit."""
-    return FreePoly({w: QPoly.q(len(w)) * c for w, c in f.terms.items()}, f.m)
+    """sigma(w) = q^{|w|} w on each word; multiplicative, fixes the unit.
+
+    q^{|w|} * c shifts the coefficients of c; a coefficient that is neither
+    a QPoly nor an exact rational (a ModInt, say) raises TypeError.
+    """
+    return FreePoly({w: (c if isinstance(c, QPoly) else QPoly.const(c)).shift(len(w))
+                     for w, c in f.terms.items()}, f.m)
 
 
 def ad_sigma(x: FreePoly, sigma: Op) -> Op:
@@ -136,41 +138,41 @@ def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Op,
     return row[j]
 
 
-def theorem_b_verify(n: int, sigma: Op) -> bool:
-    """Check (x+y)^n = sum_k SH-hat_{k,n-k}(1) x^{n-k} for letters x=1, y=2."""
-    coeffs = _sh_hat_coeffs(n, step(ad_sigma(_X, sigma), _Y), sigma, FreePoly.unit(2))
-    total = FreePoly.zero(2)
-    for k, c in enumerate(coeffs):
-        total = total + c * _X ** (n - k)
-    return total == (_X + _Y) ** n
+def sh_hat_triangle(max_n: int, sigma: Op, seed: FreePoly) -> list:
+    """rows[k][j] = SH-hat_{k,j}(ad_sigma x + y, sigma)(seed) for k + j <= max_n,
+    with x, y the letters 1, 2.
+
+    SH-hat_{k,j} does not depend on n = k + j, so every anti-diagonal
+    n <= max_n of (x+y)^n is read off this one triangle.
+    """
+    if max_n < 0:
+        raise ValueError("negative degree")
+    return list(_sh_hat_rows(range(max_n + 1, 0, -1), step(ad_sigma(_X, sigma), _Y),
+                             sigma, seed))
 
 
-def d_m_factorization_check(n: int, k: int, sigma: Op) -> bool:
-    """SH-hat_{k,n-k} = sum over 0<=m_1<=...<=m_k<=n-k of D_{m_1}...D_{m_k} sigma^{n-k},
+def d_m_sums(j: int, kmax: int, sigma: Op, f: FreePoly) -> list:
+    """[sum over 0<=m_1<=...<=m_k<=j of D_{m_1}...D_{m_k} sigma^j(f) for k = 0..kmax],
     where D_m = ad_sigma(sigma^m(x)) + sigma^m(y) is the m-shifted step.
 
-    Verified by applying both sides to a basket of test elements.
+    The paper factors SH-hat_{k,j} through these sums.  One DP over t = j..0
+    of P[t][k], the sum with every m_i >= t: P[t][0] = sigma^j(f) and
+    P[t][k] = P[t+1][k] + D_t(P[t][k-1]), so no index tuple is enumerated.
     """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    if j < 0 or kmax < 0:
+        raise ValueError("negative index")
     ds, xm, ym = [], _X, _Y
-    for _ in range(n - k + 1):
+    for _ in range(j + 1):
         ds.append(step(ad_sigma(xm, sigma), ym))
         xm, ym = sigma(xm), sigma(ym)
-    for f in (FreePoly.unit(2), _X, _Y, _X * _Y + _Y * _X):
-        lhs = sh_hat_apply(k, n - k, _X, _Y, sigma, f)
-        g0 = f
-        for _ in range(n - k):
-            g0 = sigma(g0)
-        rhs = FreePoly.zero(2)
-        for ms in itertools.combinations_with_replacement(range(n - k + 1), k):
-            g = g0
-            for m in reversed(ms):
-                g = ds[m](g)
-            rhs = rhs + g
-        if lhs != rhs:
-            return False
-    return True
+    g = f
+    for _ in range(j):
+        g = sigma(g)
+    sums = [g] + [FreePoly.zero(f.m)] * kmax
+    for d in reversed(ds):
+        for k in range(1, kmax + 1):
+            sums[k] = sums[k] + d(sums[k - 1])
+    return sums
 
 
 _AD_Q = ad_sigma(_X, grading_sigma)
@@ -249,9 +251,3 @@ def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
         raise ValueError("negative power")
     check_sigma_derivation(delta, sigma, m)
     return _sh_hat_coeffs(n, step(delta, FreePoly.letter(2, m)), sigma, FreePoly.unit(m))
-
-
-def bell_compare_sigma_id(n: int) -> bool:
-    """With sigma = id: SH-hat_{k,n-k}(1) = binom(n,k) * (ad x + y)^k(1)."""
-    coeffs = _sh_hat_coeffs(n, step(ad_sigma(_X, identity), _Y), identity, FreePoly.unit(2))
-    return coeffs == [bell_word(k).scale(comb(n, k)) for k in range(n + 1)]

@@ -187,7 +187,8 @@ def qcomm_bell_recursive(n: int, k: int):
     return out
 
 
-def _qcomm_denominator(ts) -> QPoly:
+@lru_cache(maxsize=None)
+def _qcomm_denominator(ts: tuple) -> QPoly:
     """prod_i ((i)_q!)^{t_i} (t_i)_{q^i}! for exponents ts = (t_1, t_2, ...)."""
     den = QPoly.one()
     for i, t in enumerate(ts, start=1):
@@ -198,7 +199,7 @@ def _qcomm_denominator(ts) -> QPoly:
 def qcomm_multinomial(ts) -> QPoly:
     """(n)_q! / prod_i ((i)_q!)^{t_i} (t_i)_{q^i}! for exponents ts = (t_1, t_2, ...)."""
     n = sum(i * t for i, t in enumerate(ts, start=1))
-    return qpoly_exact_div(q_factorial(n), _qcomm_denominator(ts))
+    return qpoly_exact_div(q_factorial(n), _qcomm_denominator(tuple(ts)))
 
 
 def qcomm_bell_closed(n: int, k: int):

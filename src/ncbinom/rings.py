@@ -246,6 +246,8 @@ class QPoly:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _qpoly([c * other for c in self.coeffs])
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -293,6 +295,12 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
+
+    def shift(self, k: int) -> "QPoly":
+        """q^k * self, by shifting the coefficients up k places (k >= 0)."""
+        if k < 0:
+            raise ValueError("negative shift")
+        return _qpoly([0] * k + list(self.coeffs)) if self.coeffs else self
 
     def subs_q_power(self, k: int) -> "QPoly":
         """Substitute q -> q^k."""

@@ -10,7 +10,7 @@ import importlib.resources
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import bell, identities, qsigma, quotients
 from .emit import emit_json
@@ -54,12 +54,12 @@ def verify_theorem_a(max_binary: int = 8, max_ternary: int = 6):
     return True, f"{checked} multidegrees"
 
 
-def _random_pbw_poly(rng, max_degree):
+def _random_pbw_poly(rng, max_degree, monomials: dict):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         d = rng.randint(0, max_degree)
         j = rng.randint(0, d)
-        monos = enumerate_pbw_monomials(2, (j, d - j))
+        monos = monomials[(j, d - j)]
         if not monos:
             continue
         terms[rng.choice(monos)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -70,14 +70,16 @@ def verify_pbw_roundtrip(samples: int = 500, max_degree: int = 7,
                          triangular_degree: int = 8, seed: int = 2024):
     """pbw_rewrite inverts pbw_expand; expansion is triangular."""
     rng = random.Random(seed)
+    monomials = {(j, d - j): enumerate_pbw_monomials(2, (j, d - j))
+                 for d in range(max(max_degree, triangular_degree) + 1) for j in range(d + 1)}
     for _ in range(samples):
-        p = _random_pbw_poly(rng, max_degree)
+        p = _random_pbw_poly(rng, max_degree, monomials)
         if pbw_rewrite(p.expand()) != p:
             return False, f"round-trip failed on {p!r}"
     tri = 0
     for d in range(triangular_degree + 1):
         for j in range(d + 1):
-            for mono in enumerate_pbw_monomials(2, (j, d - j)):
+            for mono in monomials[(j, d - j)]:
                 exp = pbw_expand_monomial(mono, 2)
                 w = monomial_word(mono)
                 if not exp.terms:
@@ -141,20 +143,45 @@ def verify_lemma42(max_n: int = 7, classical_n: int = 6):
     return True, f"n <= {max_n}, classical n <= {classical_n}"
 
 
+def _theorem_b_mismatch(max_n: int, name: str, sigma, seed: FreePoly):
+    """First failure on one seed, else None.  Every entry of the seed's
+    SH-hat triangle (built from sigma and the unshifted step) must equal the
+    D_m sum (built from the shifted steps only); the triangle of seed 1 must
+    also rebuild (x+y)^n and, for sigma = id, the binomial counts of Bell."""
+    rows = qsigma.sh_hat_triangle(max_n, sigma, seed)
+    for j in range(max_n + 1):
+        sums = qsigma.d_m_sums(j, max_n - j, sigma, seed)
+        for k, value in enumerate(sums):
+            if rows[k][j] != value:
+                return f"D_m factorization failed at ({j + k},{k},{name})"
+    if seed != FreePoly.unit(2):
+        return None
+    x, y = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    power = FreePoly.unit(2)
+    for n in range(max_n + 1):
+        total = FreePoly.zero(2)
+        for k in range(n + 1):
+            total = total + rows[k][n - k] * x ** (n - k)
+        if total != power:
+            return f"failed at n={n}, sigma={name}"
+        if name == "id" and any(rows[k][n - k] != bell.bell_word(k).scale(comb(n, k))
+                                for k in range(n + 1)):
+            return f"binomial-count reduction failed at n={n}"
+        power = power * (x + y)
+    return None
+
+
 def verify_theorem_b(max_n: int = 6):
-    """The operator binomial formula, for sigma = id and the q-grading."""
-    sigmas = {"id": qsigma.identity, "grading": qsigma.grading_sigma}
-    for name, sigma in sigmas.items():
-        for n in range(max_n + 1):
-            if not qsigma.theorem_b_verify(n, sigma):
-                return False, f"failed at n={n}, sigma={name}"
-            for k in range(1, n + 1):
-                if not qsigma.d_m_factorization_check(n, k, sigma):
-                    return False, f"D_m factorization failed at ({n},{k},{name})"
-        if name == "id":
-            for n in range(max_n + 1):
-                if not qsigma.bell_compare_sigma_id(n):
-                    return False, f"binomial-count reduction failed at n={n}"
+    """The operator binomial formula and its D_m factorization, for sigma = id
+    and the q-grading, on the seeds 1, x, y and xy + yx: one SH-hat triangle
+    per sigma and seed, one D_m sum per shift."""
+    x, y = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    seeds = (FreePoly.unit(2), x, y, x * y + y * x)
+    for name, sigma in (("id", qsigma.identity), ("grading", qsigma.grading_sigma)):
+        for seed in seeds:
+            mismatch = _theorem_b_mismatch(max_n, name, sigma, seed)
+            if mismatch:
+                return False, mismatch
     return True, f"n <= {max_n}, both sigmas"
 
 

@@ -311,6 +311,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "ore", "--n", "2", "--sigma-spec", str(path))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("sigma, kind", [
+        (("--sigma", "grading"), "--delta-spec"),
+        (("--sigma", "id"), "--delta-spec"),
+        ((), "--sigma-spec"),
+    ])
+    def test_spec_over_gf_p_is_refused(self, tmp_path, capsys, sigma, kind):
+        # ore works over Q and Q[q]; GF(5) images once crashed the grading
+        # sigma and mixed silently with rationals under sigma = id
+        images = {"1": {"ring": "Q", "basis": "word", "alphabet": 2, "terms": []},
+                  "2": {"ring": "GF:5", "basis": "word", "alphabet": 2,
+                        "terms": [{"coeff": "2", "word": "1"}]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"alphabet": 2, "images": images}))
+        code, out, err = run(capsys, "ore", "--n", "2", *sigma, kind, str(path))
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and "GF:5" in err and len(err.splitlines()) == 1
+
     def test_ring_q_accepted_everywhere(self, capsys):
         code, out, _ = run(capsys, "bell", "--n", "2", "--k", "1", "--ring", "Q")
         assert code == 0 and out.strip() == "B(2,1): 1*E(12)"

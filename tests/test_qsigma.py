@@ -1,16 +1,18 @@
+import itertools
 from math import comb
 
 import pytest
 
 from ncbinom.freepoly import FreePoly
-from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, bell_compare_sigma_id,
-                            binomial_q_verify, check_sigma_derivation,
-                            d_m_factorization_check, endomorphism, gen_derivation,
-                            grading_sigma, identity, ore_binomial, qbell,
-                            qbell_at_one, qbell_partial, qbell_partial_alt,
-                            sh_hat_apply, step, theorem_b_verify, y_derivative_q)
+from ncbinom import qsigma
+from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, binomial_q_verify,
+                            check_sigma_derivation, d_m_sums, endomorphism,
+                            gen_derivation, grading_sigma, identity, ore_binomial,
+                            qbell, qbell_at_one, qbell_partial, qbell_partial_alt,
+                            sh_hat_apply, sh_hat_triangle, step, y_derivative_q)
 from ncbinom.bell import bell_word
 from ncbinom.rings import QPoly, q_binomial
+from ncbinom.verify import run_suite
 
 X = FreePoly.letter(1, 2)
 Y = FreePoly.letter(2, 2)
@@ -60,15 +62,46 @@ class TestOperators:
             check_sigma_derivation(left_mul_y, identity)
 
 
+SEEDS = (FreePoly.unit(2), X, Y, X * Y + Y * X)
+# Under id and the grading every shifted step D_t is a multiple of D_0, so
+# the D_t commute; the shear x -> x + y makes the order of D_m products seen.
+SIGMAS = (identity, grading_sigma, endomorphism({1: X + Y, 2: Y}, 2))
+
+
+def d_m_sum_by_tuples(j, k, sigma, f):
+    """sum over 0<=m_1<=...<=m_k<=j of D_{m_1}...D_{m_k} sigma^j(f), one
+    index tuple at a time: the enumeration d_m_sums replaces with a DP."""
+    ds, xm, ym = [], X, Y
+    for _ in range(j + 1):
+        ds.append(step(ad_sigma(xm, sigma), ym))
+        xm, ym = sigma(xm), sigma(ym)
+    g0 = f
+    for _ in range(j):
+        g0 = sigma(g0)
+    out = FreePoly.zero(2)
+    for ms in itertools.combinations_with_replacement(range(j + 1), k):
+        g = g0
+        for m in reversed(ms):
+            g = ds[m](g)
+        out = out + g
+    return out
+
+
 class TestOperatorShufflePolys:
     def test_sigma_identity_reduces_to_bell(self):
+        rows = sh_hat_triangle(5, identity, FreePoly.unit(2))
         for n in range(6):
-            assert bell_compare_sigma_id(n)
+            assert ([rows[k][n - k] for k in range(n + 1)]
+                    == [bell_word(k).scale(comb(n, k)) for k in range(n + 1)])
 
     def test_binomial_expansion_both_sigmas(self):
-        for n in range(6):
-            assert theorem_b_verify(n, identity)
-            assert theorem_b_verify(n, grading_sigma)
+        for sigma in (identity, grading_sigma):
+            rows = sh_hat_triangle(5, sigma, FreePoly.unit(2))
+            for n in range(6):
+                total = FreePoly.zero(2)
+                for k in range(n + 1):
+                    total = total + rows[k][n - k] * X ** (n - k)
+                assert total == (X + Y) ** n
 
     def test_base_cases(self):
         sigma = grading_sigma
@@ -76,11 +109,109 @@ class TestOperatorShufflePolys:
         assert sh_hat_apply(0, 3, X, Y, sigma) == FreePoly.unit(2)
         assert sh_hat_apply(1, 0, X, Y, sigma) == qbell(1)
 
+    def test_triangle_entries_equal_the_rectangle(self):
+        for sigma in SIGMAS:
+            for f in SEEDS:
+                rows = sh_hat_triangle(4, sigma, f)
+                assert [len(row) for row in rows] == [5, 4, 3, 2, 1]
+                for k, row in enumerate(rows):
+                    for j, value in enumerate(row):
+                        assert value == sh_hat_apply(k, j, X, Y, sigma, f)
+
     def test_shifted_step_factorization(self):
-        for sigma in (identity, grading_sigma):
-            for n in range(1, 6):
-                for k in range(1, n + 1):
-                    assert d_m_factorization_check(n, k, sigma)
+        # SH-hat_{k,j} = sum of D_{m_1}...D_{m_k} sigma^j, on every seed
+        for sigma in SIGMAS:
+            for f in SEEDS:
+                rows = sh_hat_triangle(5, sigma, f)
+                for j in range(6):
+                    sums = d_m_sums(j, 5 - j, sigma, f)
+                    assert len(sums) == 6 - j
+                    for k, value in enumerate(sums):
+                        assert value == rows[k][j]
+
+    def test_d_m_sums_equal_the_tuple_enumeration(self):
+        for sigma in SIGMAS:
+            for f in SEEDS:
+                for j in range(6):
+                    sums = d_m_sums(j, 5 - j, sigma, f)
+                    for k, value in enumerate(sums):
+                        assert value == d_m_sum_by_tuples(j, k, sigma, f), (j, k)
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            sh_hat_triangle(-1, identity, FreePoly.unit(2))
+        for j, kmax in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                d_m_sums(j, kmax, identity, FreePoly.unit(2))
+
+
+def _bump(bumps):
+    """Wrappers of sh_hat_triangle and d_m_sums that add bumps[(k, j)] to the
+    entry SH-hat_{k,j}(1) for sigma = id: the same fault in both routes."""
+    triangle, sums = qsigma.sh_hat_triangle, qsigma.d_m_sums
+
+    def bumped_triangle(max_n, sigma, seed):
+        rows = triangle(max_n, sigma, seed)
+        if sigma is identity and seed == FreePoly.unit(2):
+            for (k, j), delta in bumps.items():
+                rows[k][j] = rows[k][j] + delta
+        return rows
+
+    def bumped_sums(j, kmax, sigma, f):
+        out = sums(j, kmax, sigma, f)
+        if sigma is identity and f == FreePoly.unit(2):
+            for (k, jj), delta in bumps.items():
+                if jj == j and k <= kmax:
+                    out[k] = out[k] + delta
+        return out
+    return bumped_triangle, bumped_sums
+
+
+class TestTheoremBSuite:
+    def test_passes(self):
+        assert run_suite("theorem-b", 4) == (True, "n <= 4, both sigmas")
+
+    def test_wrong_triangle_entry_fails(self, monkeypatch):
+        monkeypatch.setattr(qsigma, "sh_hat_triangle", _bump({(2, 1): X})[0])
+        assert run_suite("theorem-b", 4) == (False, "D_m factorization failed at (3,2,id)")
+
+    def test_wrong_top_corner_fails(self, monkeypatch):
+        # SH-hat_{0,4} feeds no other entry; only the comparison sees it
+        monkeypatch.setattr(qsigma, "sh_hat_triangle", _bump({(0, 4): Y})[0])
+        assert run_suite("theorem-b", 4) == (False, "D_m factorization failed at (4,0,id)")
+
+    def test_wrong_d_m_sum_fails(self, monkeypatch):
+        monkeypatch.setattr(qsigma, "d_m_sums", _bump({(1, 2): Y})[1])
+        assert run_suite("theorem-b", 4) == (False, "D_m factorization failed at (3,1,id)")
+
+    def test_binomial_check_is_live(self, monkeypatch):
+        # both routes agree on the fault, so only (x+y)^n can catch it
+        triangle, sums = _bump({(1, 1): Y})
+        monkeypatch.setattr(qsigma, "sh_hat_triangle", triangle)
+        monkeypatch.setattr(qsigma, "d_m_sums", sums)
+        assert run_suite("theorem-b", 4) == (False, "failed at n=2, sigma=id")
+
+    def test_bell_reduction_check_is_live(self, monkeypatch):
+        # y on SH-hat_{1,1} and -yx on SH-hat_{2,0} leave (x+y)^2 intact
+        triangle, sums = _bump({(1, 1): Y, (2, 0): -(Y * X)})
+        monkeypatch.setattr(qsigma, "sh_hat_triangle", triangle)
+        monkeypatch.setattr(qsigma, "d_m_sums", sums)
+        assert run_suite("theorem-b", 4) == (False, "binomial-count reduction failed at n=2")
+
+    @pytest.mark.parametrize("name, entry", [("sh_hat_triangle", "rows[2][1]"),
+                                             ("d_m_sums", "rows[2]")])
+    def test_planted_fault_fails_verify_under_O(self, verify_under_O, name, entry):
+        done = verify_under_O("theorem-b", (
+            "from ncbinom import qsigma\n"
+            f"original = qsigma.{name}\n"
+            "def bumped(*args):\n"
+            "    rows = original(*args)\n"
+            "    if len(rows) > 2:\n"
+            f"        {entry} = {entry} + qsigma._X\n"
+            "    return rows\n"
+            f"qsigma.{name} = bumped\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert done.stdout.startswith(b"theorem-b: FAIL (D_m factorization failed at")
 
 
 class TestQBell:

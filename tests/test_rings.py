@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ncbinom.emit import emit_json, parse_json
 from ncbinom.freepoly import FreePoly
+from ncbinom.qsigma import grading_sigma
 from ncbinom.rings import (_MR_BOUND, DivisionNotExact, ModInt, QPoly, _is_prime,
                            cyclotomic, exponent_vectors, q_binomial, q_factorial,
                            q_integer, qpoly_exact_div)
@@ -280,3 +281,80 @@ class TestIntegerCoefficients:
             QPoly.const(0.5)
         with pytest.raises(TypeError):
             QPoly.one() + 0.5
+
+
+def _types(p):
+    return [type(c) for c in p.coeffs]
+
+
+class TestScalarPaths:
+    """int/Fraction operands scale the coefficients, and q^k * p is a shift;
+    both must agree with the general product, types and trimming included."""
+
+    SCALARS = (0, 1, -1, 3, 10 ** 20, True, False,
+               Fraction(1, 2), Fraction(-4, 2), Fraction(0), Fraction(6, 3), Fraction(7, 9))
+
+    def _polys(self):
+        rng = random.Random(11)
+        yield QPoly.zero()
+        yield QPoly((Fraction(1, 2), 3))
+        for _ in range(40):
+            yield QPoly(_random_coeffs(rng, rng.randint(0, 5)))
+
+    def test_scaling_equals_the_general_product(self):
+        for p in self._polys():
+            for c in self.SCALARS:
+                want = p * QPoly.const(c)
+                for got in (p * c, c * p):
+                    assert got == want and got.coeffs == want.coeffs
+                    assert _types(got) == _types(want), (p, c)
+                    assert not got.coeffs or got.coeffs[-1] != 0
+
+    def test_integral_scaled_result_stays_int(self):
+        p = QPoly((Fraction(1, 2), 3, Fraction(-3, 2)))
+        for got in (p * 2, 2 * p, p * Fraction(4, 1), Fraction(-2) * p):
+            assert _all_int(got), got.coeffs
+        assert _types(p * Fraction(1, 3)) == [Fraction, int, Fraction]
+
+    def test_scalar_product_refuses_floats_and_mod_ints(self):
+        for c in (0.5, ModInt(2, 5)):
+            with pytest.raises(TypeError):
+                QPoly.q() * c
+            with pytest.raises(TypeError):
+                c * QPoly.q()
+
+    def test_shift_equals_the_product_with_a_q_power(self):
+        for p in self._polys():
+            for k in range(4):
+                got, want = p.shift(k), QPoly.q(k) * p
+                assert got == want and got.coeffs == want.coeffs
+                assert _types(got) == _types(want)
+        assert QPoly.zero().shift(3).coeffs == ()
+        with pytest.raises(ValueError):
+            QPoly.one().shift(-1)
+
+
+class TestGradingSigmaShift:
+    @staticmethod
+    def _old_grading_sigma(f):
+        """sigma(w) = q^{|w|} w by the general QPoly product, as it was."""
+        return FreePoly({w: QPoly.q(len(w)) * (c if isinstance(c, QPoly) else QPoly.const(c))
+                         for w, c in f.terms.items()}, f.m)
+
+    def test_equals_the_product_formula_on_random_polys(self):
+        rng = random.Random(5)
+        pool = (lambda: rng.randint(-9, 9),
+                lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                lambda: QPoly(_random_coeffs(rng, rng.randint(0, 3))))
+        for _ in range(200):
+            terms = {tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 4))):
+                     rng.choice(pool)() for _ in range(rng.randint(0, 5))}
+            f = FreePoly(terms, 2)
+            got, want = grading_sigma(f), self._old_grading_sigma(f)
+            assert got == want
+            assert {w: _types(c) for w, c in got.terms.items()} == \
+                {w: _types(c) for w, c in want.terms.items()}
+
+    def test_refuses_a_mod_int_coefficient(self):
+        with pytest.raises(TypeError):
+            grading_sigma(FreePoly({(1, 2): ModInt(2, 5)}, 2))
