@@ -4,9 +4,22 @@ A PBW monomial is a tuple of (lyndon_word, exponent) pairs with the words
 strictly decreasing; the empty tuple is the unit.  ``pbw_rewrite`` expresses
 any free polynomial with rational coefficients in this basis by eliminating
 the lex-minimal word of each homogeneous component.  That elimination relies
-on triangularity (the least word of an expanded monomial has coefficient 1),
-so after clearing the common denominator it runs over the integers and never
-divides; the property is tested, and a violation raises instead of looping.
+on triangularity (an expanded monomial's least word is its CFL concatenation,
+with coefficient 1), so after clearing the common denominator it runs over
+the integers and never divides.  Both halves of the property are checked as
+the elimination goes, and a violation raises instead of looping.
+
+The work is done on coded words.  All words of one homogeneous component
+have the same length n, so a word is coded as the base-(m+1) integer of its
+letters, and lex order on the words is numeric order on the codes.
+``_basis_codes`` builds E_alpha by the bracket recursion and
+``_expansion_codes`` a monomial's expansion as E_alpha times the expansion
+of the rest; since the two factors have fixed lengths, every concatenation
+``u * (m+1)**len(rest) + v`` is distinct.  ``pbw_rewrite`` streams each top
+expansion straight into its component, so of the rewrite only the basis
+elements and the lower-degree tails are cached, never the top expansions
+that are used once.  ``ls_basis_element`` and ``pbw_expand_monomial`` decode
+the same codes into ``FreePoly`` and cache that for their other callers.
 """
 
 from __future__ import annotations
@@ -36,15 +49,81 @@ class InvariantError(AssertionError):
     keeps the check; an ``AssertionError`` so verify suites report it."""
 
 
+def _code(w: Word, m: int) -> int:
+    """The base-(m+1) integer of w's letters, which must lie in 1..m."""
+    k = 0
+    for x in w:
+        if not 1 <= x <= m:
+            raise ValueError(f"letter {x} outside alphabet of size {m}")
+        k = k * (m + 1) + x
+    return k
+
+
+def _check_lyndon(alpha: Word, m: int):
+    if not is_lyndon(alpha):
+        raise ValueError(f"{alpha} is not a Lyndon word")
+    _code(alpha, m)  # checks the letters
+
+
+def _decode(k: int, n: int, m: int) -> Word:
+    w = [0] * n
+    for i in range(n - 1, -1, -1):
+        k, w[i] = divmod(k, m + 1)
+    return tuple(w)
+
+
+def _decoded(codes: dict, n: int, m: int) -> FreePoly:
+    """The FreePoly of coded words of length n; the coefficients are nonzero."""
+    return FreePoly._make({_decode(k, n, m): c for k, c in codes.items()}, m)
+
+
+@lru_cache(maxsize=None)
+def _basis_codes(alpha: Word, m: int) -> dict:
+    """E_alpha as {code: coefficient}, by [E_beta, E_gamma] at st(alpha)."""
+    if len(alpha) == 1:
+        return {alpha[0]: 1}
+    beta, gamma = standard_factorization(alpha)
+    left, right = _basis_codes(beta, m), _basis_codes(gamma, m)
+    lshift, rshift = (m + 1) ** len(beta), (m + 1) ** len(gamma)
+    codes = {u * rshift + v: a * b for u, a in left.items() for v, b in right.items()}
+    for v, b in right.items():
+        for u, a in left.items():
+            key = v * lshift + u
+            r = codes.get(key, 0) - a * b
+            if r:
+                codes[key] = r
+            else:
+                del codes[key]
+    return codes
+
+
+def _head_rest(mono: PBWMonomial):
+    """Split E_alpha^t E_... into E_alpha and the rest, E_alpha^(t-1) E_..."""
+    (alpha, t), later = mono[0], mono[1:]
+    return alpha, (((alpha, t - 1),) + later if t > 1 else later)
+
+
+@lru_cache(maxsize=None)
+def _expansion_codes(mono: PBWMonomial, m: int) -> dict:
+    """Expansion of a monomial as {code: coefficient}: E_alpha times the rest.
+
+    The words of the two factors have fixed lengths, so the concatenations
+    are distinct and their coefficients, products of nonzero integers, are
+    nonzero: the product needs no collecting.
+    """
+    if not mono:
+        return {0: 1}
+    alpha, rest = _head_rest(mono)
+    head, tail = _basis_codes(alpha, m), _expansion_codes(rest, m)
+    shift = (m + 1) ** monomial_degree(rest)
+    return {u * shift + v: a * b for u, a in head.items() for v, b in tail.items()}
+
+
 @lru_cache(maxsize=None)
 def ls_basis_element(alpha: Word, m: int = 2) -> FreePoly:
     """E_alpha: the Lyndon word itself for letters, else [E_beta, E_gamma] at st(alpha)."""
-    if not is_lyndon(alpha):
-        raise ValueError(f"{alpha} is not a Lyndon word")
-    if len(alpha) == 1:
-        return FreePoly.word(alpha, m)
-    beta, gamma = standard_factorization(alpha)
-    return commutator(ls_basis_element(beta, m), ls_basis_element(gamma, m))
+    _check_lyndon(alpha, m)
+    return _decoded(_basis_codes(alpha, m), len(alpha), m)
 
 
 def monomial_from_word(w: Word) -> PBWMonomial:
@@ -89,12 +168,10 @@ def validate_monomial(mono: PBWMonomial):
 @lru_cache(maxsize=None)
 def pbw_expand_monomial(mono: PBWMonomial, m: int = 2) -> FreePoly:
     """Product of powers of Lyndon-Shirshov basis elements, in the word basis."""
-    result = FreePoly.unit(m)
-    for alpha, t in mono:
-        e = ls_basis_element(alpha, m)
-        for _ in range(t):
-            result = result * e
-    return result
+    for alpha, _ in mono:
+        _check_lyndon(alpha, m)
+    mono = tuple((alpha, t) for alpha, t in mono if t > 0)
+    return _decoded(_expansion_codes(mono, m), monomial_degree(mono), m)
 
 
 class PBWPoly(SparseCombination):
@@ -136,6 +213,12 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     eliminated as integers: the eliminated word has coefficient 1 in its
     expansion, so no step divides.  The result is divided by L at the end;
     integer input gives integer coefficients.
+
+    The expansion E_alpha * E_rest of the monomial is streamed into the
+    component, its least word included, which it must cancel.  So each
+    elimination must leave every remaining code above the one it eliminated;
+    a word left at or below it, whether the least word kept a coefficient
+    other than 1 or a lower word came in, raises ``ArithmeticError``.
     """
     denom = 1
     for c in f.terms.values():
@@ -146,26 +229,40 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     m = f.m
     components = {}
     for w, c in f.terms.items():
-        components.setdefault(multidegree(w, m), {})[w] = int(c * denom)
+        k = _code(w, m)
+        components.setdefault(multidegree(w, m), {})[k] = int(c * denom)
     out = {}
-    for comp in components.values():
+    for counts, comp in components.items():
+        n = sum(counts)
+        last = -1
         while comp:
-            w = min(comp)
-            c = comp.pop(w)
+            k = min(comp)
+            w = _decode(k, n, m)
+            if k <= last:
+                raise ArithmeticError(
+                    f"expansion of {mono} leaves the word {w} at or below its least word "
+                    f"{_decode(last, n, m)}; the PBW basis is not triangular")
+            last = k
+            c = comp[k]
             mono = monomial_from_word(w)
             out[mono] = out.get(mono, 0) + c
-            expansion = pbw_expand_monomial(mono, m).terms
-            if expansion.get(w) != 1:
-                raise ArithmeticError(
-                    f"expansion of {mono} has coefficient {expansion.get(w, 0)} at its "
-                    f"least word {w}, not 1; the PBW basis is not triangular")
-            for u, a in expansion.items():
-                if u != w:
-                    r = comp.get(u, 0) - c * a
+            if not mono:  # the constant term
+                del comp[k]
+                continue
+            alpha, rest = _head_rest(mono)
+            tail = _expansion_codes(rest, m)
+            shift = (m + 1) ** (n - len(alpha))
+            get = comp.get
+            for u, a in _basis_codes(alpha, m).items():
+                u *= shift
+                a *= c
+                for v, b in tail.items():
+                    key = u + v
+                    r = get(key, 0) - a * b
                     if r:
-                        comp[u] = r
+                        comp[key] = r
                     else:
-                        del comp[u]
+                        del comp[key]
     if denom != 1:
         out = {mono: Fraction(c, denom) for mono, c in out.items()}
     return PBWPoly(out, m)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial, prod
 from pathlib import Path
@@ -18,7 +19,8 @@ from ncbinom.pbw import (InvariantError, OrderViolation, PBWPoly,
                          monomial_from_word, monomial_word, pbw_expand,
                          pbw_expand_monomial, pbw_rewrite, validate_monomial)
 from ncbinom.rings import ModInt
-from ncbinom.words import is_lyndon, lyndon_enumerate, multidegree
+from ncbinom.words import (is_lyndon, lyndon_enumerate, multidegree,
+                           standard_factorization)
 
 
 class TestBasisElements:
@@ -249,6 +251,77 @@ class TestIntegerElimination:
         assert got.terms == {(((1, 2), 1),): Fraction(1, 6), (((2,), 1), ((1,), 1)): Fraction(1, 2)}
 
 
+@lru_cache(maxsize=None)
+def _bracket(alpha, m):
+    """Oracle: E_alpha by plain FreePoly commutators at st(alpha)."""
+    if len(alpha) == 1:
+        return FreePoly.letter(alpha[0], m)
+    beta, gamma = standard_factorization(alpha)
+    return commutator(_bracket(beta, m), _bracket(gamma, m))
+
+
+def _expand_by_brackets(p):
+    """Oracle: a PBWPoly in the word basis through ``_bracket`` products."""
+    out = FreePoly.zero(p.m)
+    for mono, c in p.terms.items():
+        term = FreePoly.unit(p.m)
+        for alpha, t in mono:
+            term = term * _bracket(alpha, p.m) ** t
+        out = out + term.scale(c)
+    return out
+
+
+class TestCodedEngine:
+    """The coded-word kernel against plain FreePoly arithmetic."""
+
+    @pytest.mark.parametrize("m, max_len", [(2, 8), (3, 5)])
+    def test_basis_elements_equal_bracketed_factors(self, m, max_len):
+        for alpha in lyndon_enumerate(m, max_len):
+            assert ls_basis_element(alpha, m) == _bracket(alpha, m), alpha
+
+    @pytest.mark.parametrize("m, max_degree", [(2, 7), (3, 4)])
+    def test_expansions_equal_products_of_powers(self, m, max_degree):
+        for counts in _contents(m, max_degree):
+            for mono in enumerate_pbw_monomials(m, counts):
+                want = FreePoly.unit(m)
+                for alpha, t in mono:
+                    want = want * ls_basis_element(alpha, m) ** t
+                assert pbw_expand_monomial(mono, m) == want, mono
+
+    def test_rewrite_roundtrip_with_two_digit_letters(self):
+        # m = 12: letters 10..12 are two decimal digits, the codes are base 13
+        rng = random.Random(17)
+        for _ in range(25):
+            f = _random_free_poly(rng, 12, 4, _mixed)
+            got = pbw_rewrite(f)
+            for mono in got.terms:
+                validate_monomial(mono)
+            assert _expand_by_brackets(got) == f
+        f = FreePoly({(12, 10): 1, (10, 12, 11): Fraction(2, 3)}, 12)
+        assert _expand_by_brackets(pbw_rewrite(f)) == f
+
+    def test_rewrite_of_constant_and_fraction_terms(self):
+        f = FreePoly({(): Fraction(-7, 3), (2,): 3, (1, 2): Fraction(1, 2),
+                      (2, 1, 1): Fraction(5, 6), (1, 2, 1, 2): Fraction(-1, 4)}, 2)
+        got = pbw_rewrite(f)
+        assert got.coeff(()) == Fraction(-7, 3)
+        assert got.coeff((((2,), 1),)) == 3
+        assert _expand_by_brackets(got) == f
+        assert _expand_by_brackets(pbw_rewrite(FreePoly.unit(2, 5))) == FreePoly.unit(2, 5)
+
+    def test_public_functions_keep_their_errors(self):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
+            pbw_expand_monomial((((2, 1), 1),))
+        with pytest.raises(ValueError, match="letter 3 outside alphabet"):
+            ls_basis_element((1, 3), 2)
+        with pytest.raises(ValueError, match="letter 3 outside alphabet"):
+            pbw_expand_monomial((((1, 3), 1),), 2)
+        for bad in (0, 3):
+            with pytest.raises(ValueError, match=f"letter {bad} outside alphabet"):
+                pbw_rewrite(FreePoly({(bad, 1): 1}, 2))
+        assert pbw_expand_monomial((), 3) == FreePoly.unit(3)
+
+
 def monomial_multideg_eq(mono, w):
     total = []
     for a, t in mono:
@@ -338,7 +411,6 @@ class TestCommutatorLS:
         # resulting factor g satisfies ab <= g < b with the right-factor
         # chain pinched the same way. Checked, but a counterexample only
         # warns rather than fails.
-        from ncbinom.words import standard_factorization
         bad = []
         for alpha in lyndon_enumerate(2, 5):
             for beta in lyndon_enumerate(2, 5):
@@ -362,6 +434,41 @@ class TestCommutatorLS:
             warnings.warn(f"support containment conjecture fails: {bad[:3]}")
 
 
+# E_12 = 2*12 - 21 in base-3 codes (12 -> 5, 21 -> 7)
+_NON_UNIT_E12 = {5: 2, 7: -1}
+
+_PLANT_NON_UNIT_E12 = (
+    "orig = pbw._basis_codes\n"
+    f"pbw._basis_codes = lambda alpha, m: {_NON_UNIT_E12!r} if alpha == (1, 2) else orig(alpha, m)\n")
+
+_PLANT_LOW_WORD_E11212 = (
+    "orig = pbw._basis_codes\n"
+    "def planted(alpha, m):\n"
+    "    codes = orig(alpha, m)\n"
+    "    if alpha == (1, 1, 2, 1, 2):\n"
+    "        codes = dict(codes)\n"
+    "        codes[pbw._code((1, 1, 1, 2, 2), 2)] = 1\n"
+    "    return codes\n"
+    "pbw._basis_codes = planted\n")
+
+
+def _rewrite_with_planted_basis(flags, plant, word):
+    """Rewrite one word in a fresh interpreter after ``plant`` has patched
+    ``pbw._basis_codes``; exit code 3 means ArithmeticError naming the word.
+    The timeout fails the test if the elimination loops."""
+    script = ("from ncbinom import pbw\n"
+              "from ncbinom.freepoly import FreePoly\n"
+              f"{plant}"
+              "try:\n"
+              f"    pbw.pbw_rewrite(FreePoly.word({word!r}))\n"
+              "except ArithmeticError as e:\n"
+              f"    raise SystemExit(3 if {str(word)!r} in str(e) else 4)\n")
+    src = str(Path(pbw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, timeout=30)
+
+
 class TestErrors:
     def test_unsupported_ring(self):
         f = FreePoly({(2, 1): ModInt(1, 5)}, 2)
@@ -369,25 +476,22 @@ class TestErrors:
             pbw_rewrite(f)
 
     def test_non_triangular_expansion_raises(self, monkeypatch):
-        # E_12 expanded to 2*12 - 21: its least word no longer has coefficient 1
-        monkeypatch.setattr(pbw, "pbw_expand_monomial",
-                            lambda mono, m=2: FreePoly({(1, 2): 2, (2, 1): -1}, m))
+        # E_12 planted as 2*12 - 21: its least word no longer has coefficient 1
+        orig = pbw._basis_codes
+        monkeypatch.setattr(pbw, "_basis_codes",
+                            lambda alpha, m: _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m))
         with pytest.raises(ArithmeticError, match=r"\(1, 2\)"):
             pbw_rewrite(FreePoly.word((1, 2)))
 
     def test_non_triangular_expansion_raises_under_O(self):
-        script = (
-            "from ncbinom import pbw\n"
-            "from ncbinom.freepoly import FreePoly\n"
-            "pbw.pbw_expand_monomial = lambda mono, m=2: FreePoly({(1, 2): 2, (2, 1): -1}, m)\n"
-            "try:\n"
-            "    pbw.pbw_rewrite(FreePoly.word((1, 2)))\n"
-            "except ArithmeticError:\n"
-            "    raise SystemExit(3)\n")
-        src = str(Path(pbw.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, timeout=60)
+        done = _rewrite_with_planted_basis(["-O"], _PLANT_NON_UNIT_E12, (1, 2))
+        assert done.returncode == 3, done.stderr.decode()
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_word_below_the_least_word_raises(self, flags):
+        # E_11212 planted with an extra word 11122 below its least word: the
+        # elimination used to swap the two words back and forth for ever
+        done = _rewrite_with_planted_basis(flags, _PLANT_LOW_WORD_E11212, (1, 1, 2, 1, 2))
         assert done.returncode == 3, done.stderr.decode()
 
     def test_equality_is_by_class(self):

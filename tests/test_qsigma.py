@@ -137,6 +137,11 @@ class TestOperatorShufflePolys:
                     for k, value in enumerate(sums):
                         assert value == d_m_sum_by_tuples(j, k, sigma, f), (j, k)
 
+    def test_degree_zero_triangle_is_the_seed(self):
+        for sigma in SIGMAS:
+            for f in SEEDS:
+                assert sh_hat_triangle(0, sigma, f) == [[f]]
+
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             sh_hat_triangle(-1, identity, FreePoly.unit(2))

@@ -89,6 +89,11 @@ class TestMisc:
         assert multidegree((1, 2, 2, 1), 2) == (2, 2)
         assert multidegree((3,), 3) == (0, 0, 1)
 
+    def test_format_switches_to_brackets_above_nine_letters(self):
+        assert format_word((1, 9, 2), 9) == "192"
+        assert format_word((1, 9, 2), 10) == "[1,9,2]"
+        assert format_word((10, 1), 10) == "[10,1]"
+
     @given(words)
     def test_format_parse_roundtrip(self, w):
         assert parse_word(format_word(w, 2), 2) == w
