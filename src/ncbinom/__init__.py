@@ -3,7 +3,7 @@ words, the Lyndon-Shirshov PBW basis, shuffle type polynomials, Bell
 differential polynomials and their q- and sigma-deformations.
 """
 
-from .freepoly import FreePoly, commutator, sh_word_basis, shuffle_product
+from .freepoly import FreePoly, commutator, shuffle_product
 from .pbw import PBWPoly, commutator_ls, pbw_expand, pbw_rewrite
 from .rings import ModInt, QPoly, cyclotomic, q_binomial, q_factorial, q_integer
 from .shuffle import binomial_ls, coeff_closed_form, sh_closed_form, sh_pbw
@@ -11,7 +11,7 @@ from .words import cfl_factorize, is_lyndon, lyndon_enumerate, standard_factoriz
 
 __all__ = [
     "FreePoly", "PBWPoly", "ModInt", "QPoly",
-    "commutator", "commutator_ls", "shuffle_product", "sh_word_basis",
+    "commutator", "commutator_ls", "shuffle_product",
     "pbw_expand", "pbw_rewrite",
     "binomial_ls", "coeff_closed_form", "sh_closed_form", "sh_pbw",
     "cfl_factorize", "is_lyndon", "lyndon_enumerate", "standard_factorization",

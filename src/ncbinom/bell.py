@@ -1,18 +1,20 @@
 """Bell differential polynomials and their relation to shuffle type polynomials.
 
 Conventions: letter 1 plays x, letter 2 plays y.  The partial polynomial of
-index (n, k) is homogeneous with k letters 2 and n-k letters 1.  The dual
-family is evaluated with swapped roles (x = letter 2, y = letter 1), which is
-the argument order the filter identity needs.
+index (n, k) is homogeneous with k letters 2 and n-k letters 1.  It is
+SH_{k,n-k}(y*, ad x)(1), read off the SH-hat triangle of ``qsigma`` by
+``qsigma.bell_partials``.  The dual family is evaluated with swapped roles
+(x = letter 2, y = letter 1), which is the argument order the filter identity
+needs; ``qsigma.bell_dual_partials`` reads it off the same triangle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
-from .freepoly import FreePoly, commutator
+from .freepoly import FreePoly
 from .pbw import PBWPoly, enumerate_pbw_monomials, pbw_rewrite
+from .qsigma import bell_dual_partials, bell_partials, partial_at
 from .rings import exponent_vectors
 from .shuffle import coeff_closed_form, sh_pbw
 
@@ -20,34 +22,13 @@ _X = FreePoly.letter(1, 2)
 _Y = FreePoly.letter(2, 2)
 
 
-@lru_cache(maxsize=None)
-def bell_partial_word(n: int, k: int) -> FreePoly:
-    """Partial Bell differential polynomial in the word basis.
-
-    Recursion: B(n,k) = y*B(n-1,k-1) + [x, B(n-1,k)], with B(0,0) = 1 and
-    B(n,0) = 0 for n >= 1.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("negative index")
-    if n == 0 and k == 0:
-        return FreePoly.unit(2)
-    if k == 0 or k > n:
-        return FreePoly.zero(2)
-    return _Y * bell_partial_word(n - 1, k - 1) + commutator(_X, bell_partial_word(n - 1, k))
-
-
 def bell_partial(n: int, k: int) -> PBWPoly:
-    return pbw_rewrite(bell_partial_word(n, k))
+    return pbw_rewrite(partial_at(bell_partials(n), k))
 
 
 def bell_word(n: int) -> FreePoly:
     """Full Bell differential polynomial (ad x + y)^n applied to 1."""
-    total = FreePoly.zero(2)
-    for k in range(n + 1):
-        total = total + bell_partial_word(n, k)
-    if n == 0:
-        return FreePoly.unit(2)
-    return total
+    return sum(bell_partials(n), FreePoly.zero(2))
 
 
 def _dual_rec(n: int, x: FreePoly, y: FreePoly) -> FreePoly:
@@ -58,27 +39,9 @@ def _dual_rec(n: int, x: FreePoly, y: FreePoly) -> FreePoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def bell_dual_word(n: int) -> FreePoly:
-    """Dual Bell polynomial evaluated at swapped arguments: x = letter 2, y = letter 1.
-
-    This is the argument order under which the dual family matches the
-    leftmost-filtered shuffle type polynomials.
-    """
-    return _dual_rec(n, _Y, _X)
-
-
-def bell_dual_partial_word(n: int, k: int) -> FreePoly:
-    """Part of the dual polynomial with exactly k letters 1 (the 'y' role)."""
-    if n >= 1 and (k == 0 or k > n):
-        return FreePoly.zero(2)
-    full = bell_dual_word(n)
-    picked = {w: c for w, c in full.terms.items() if sum(1 for a in w if a == 1) == k}
-    return FreePoly(picked, 2)
-
-
 def bell_dual(n: int, k: int) -> PBWPoly:
-    return pbw_rewrite(bell_dual_partial_word(n, k))
+    """Part of the dual polynomial at swapped arguments with exactly k letters 1."""
+    return pbw_rewrite(partial_at(bell_dual_partials(n), k))
 
 
 def binomial_via_bell(n: int, dual: bool = False) -> FreePoly:

@@ -304,7 +304,8 @@ def cmd_bell(args):
 def cmd_qbell(args):
     _degree_guard(args.n, args.max_degree)
     if args.k is not None:
-        _print_poly(qsigma.qbell_partial(args.n, args.k), args.format)
+        parts = qsigma.bell_partials(args.n, qsigma.grading_sigma)
+        _print_poly(qsigma.partial_at(parts, args.k), args.format)
     else:
         _print_poly(qsigma.qbell(args.n), args.format)
     return 0
@@ -330,7 +331,7 @@ def cmd_quotient(args):
         if args.n is None or args.k is None:
             raise UsageError("quotient qcomm-bell needs --n and --k")
         _degree_guard(args.n, args.max_degree)
-        for word, c in sorted(quotients.qcomm_bell(args.n, args.k).items()):
+        for word, c in sorted(quotients.qcomm_bell_closed(args.n, args.k).items()):
             mono = " ".join(f"d{i}" for i in word) or "1"
             print(f"{mono}: {c}")
         return 0

@@ -154,10 +154,6 @@ def parse_json(doc: dict):
     raise ValueError(f"unknown basis {doc['basis']!r}")
 
 
-def emit_text(p) -> str:
-    return str(p)
-
-
 def emit(p, fmt: str) -> str:
     if fmt == "text":
         return str(p)

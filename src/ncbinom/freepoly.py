@@ -249,14 +249,3 @@ def sh_multidegree(counts, m: int = None) -> FreePoly:
             rest = counts[:x - 1] + (counts[x - 1] - 1,) + counts[x:]
             total = total + FreePoly.letter(x, m) * sh_multidegree(rest, m)
     return total
-
-
-def sh_word_basis(i: int, j: int) -> FreePoly:
-    """Shuffle type polynomial of bidegree (i, j) over {1, 2}: i letters 2, j letters 1.
-
-    Computed by the leading-letter recursion; it equals the shuffle product
-    2^i sh 1^j, which the tests check.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("negative bidegree")
-    return sh_multidegree((j, i), 2)

@@ -4,9 +4,9 @@ A sigma-operator is any callable FreePoly -> FreePoly: ``identity``,
 ``grading_sigma``, or the closures built by ``ad_sigma``, ``endomorphism``,
 ``gen_derivation`` and ``step``.  The central objects are the operator-valued
 shuffle polynomials SH-hat built from the step f -> delta(f) + y*f and sigma,
-with delta = ad_sigma(x) for the binomial theorem; their factorization through
-the shifted steps D_m; and the q-specialization giving q-Bell differential
-polynomials over Q[q].
+with delta = ad_sigma(x) for the binomial theorem, and their factorization
+through the shifted steps D_m.  The one triangle ``_sh_hat_rows`` also gives
+the Bell, q-Bell and dual Bell partials SH-hat_{k,n-k}(y*, ad_sigma x)(1).
 """
 
 from __future__ import annotations
@@ -118,9 +118,37 @@ def _sh_hat_rows(widths, step: Op, sigma: Op, seed: FreePoly):
 
 
 def _sh_hat_coeffs(n: int, step: Op, sigma: Op, seed: FreePoly) -> list:
-    """[SH-hat_{k,n-k}(step, sigma)(seed) for k = 0..n], read off one triangle."""
+    """[SH-hat_{k,n-k}(step, sigma)(seed) for k = 0..n], read off one triangle
+    row by row; a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError("negative index")
     rows = _sh_hat_rows(range(n + 1, 0, -1), step, sigma, seed)
     return [row[n - k] for k, row in enumerate(rows)]
+
+
+@lru_cache(maxsize=None)
+def bell_partials(n: int, sigma: Op = identity) -> tuple:
+    """(B(n,0), ..., B(n,n)) with B(n,k) = SH-hat_{k,n-k}(y*, ad_sigma x)(1) the
+    part of (ad_sigma x + y)^n(1) with k letters y: the Bell partials for
+    sigma = identity, the q-Bell ones for grading_sigma."""
+    return tuple(_sh_hat_coeffs(n, lambda f: _Y * f, ad_sigma(_X, sigma), FreePoly.unit(2)))
+
+
+@lru_cache(maxsize=None)
+def bell_dual_partials(n: int) -> tuple:
+    """Dual Bell partials at swapped arguments x = letter 2, y = letter 1, entry
+    k with k letters 1: the triangle of ``bell_partials`` with the products on
+    the right, step f -> f*y and sigma-slot f -> f*x - x*f."""
+    return tuple(_sh_hat_coeffs(n, lambda f: f * _X, lambda f: f * _Y - _Y * f,
+                                FreePoly.unit(2)))
+
+
+def partial_at(parts: tuple, k: int) -> FreePoly:
+    """Entry k of a tuple from ``bell_partials`` or ``bell_dual_partials``:
+    zero for k > n; a negative k raises ValueError."""
+    if k < 0:
+        raise ValueError("negative index")
+    return parts[k] if k < len(parts) else FreePoly.zero(2)
 
 
 def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Op,
@@ -185,21 +213,6 @@ def qbell(n: int) -> FreePoly:
         return FreePoly.unit(2)
     prev = qbell(n - 1)
     return _AD_Q(prev) + _Y * prev
-
-
-@lru_cache(maxsize=None)
-def qbell_partial(n: int, k: int) -> FreePoly:
-    """Partial q-Bell polynomial: the part of qbell(n) with k letters y.
-
-    Recursion B(n,k) = y B(n-1,k-1) + ad_q x (B(n-1,k)).  ``verify qbell``
-    checks that the sum over k rebuilds qbell(n) and that the independent
-    q-binomial-weighted recursion ``qbell_partial_alt`` agrees.
-    """
-    if n == 0 and k == 0:
-        return FreePoly.unit(2)
-    if k == 0 or k > n:
-        return FreePoly.zero(2)
-    return _Y * qbell_partial(n - 1, k - 1) + _AD_Q(qbell_partial(n - 1, k))
 
 
 @lru_cache(maxsize=None)

@@ -215,20 +215,12 @@ def qcomm_bell_closed(n: int, k: int):
     return out
 
 
-def qcomm_bell(n: int, k: int):
-    """q-commutative partial Bell coefficients, by the closed form.
-
-    ``verify qcomm`` compares the closed form with the recursion.
-    """
-    return qcomm_bell_closed(n, k)
-
-
 def qcomm_bell_full(n: int):
-    """Full q-commutative Bell polynomial: sum of the partial ones over k."""
+    """Full q-commutative Bell polynomial: the partial ones over k, whose words
+    have length k and so never collide."""
     out = {}
     for k in range(n + 1):
-        for word, c in qcomm_bell(n, k).items():
-            out[word] = out[word] + c if word in out else c
+        out.update(qcomm_bell_closed(n, k))
     return out
 
 

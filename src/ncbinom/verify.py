@@ -172,17 +172,21 @@ def _theorem_b_mismatch(max_n: int, name: str, sigma, seed: FreePoly):
 
 
 def verify_theorem_b(max_n: int = 6):
-    """The operator binomial formula and its D_m factorization, for sigma = id
-    and the q-grading, on the seeds 1, x, y and xy + yx: one SH-hat triangle
-    per sigma and seed, one D_m sum per shift."""
+    """The operator binomial formula and its D_m factorization, for sigma = id,
+    the q-grading and the swap x <-> y, on the seeds 1, x, y and xy + yx: one
+    SH-hat triangle per sigma and seed, one D_m sum per shift.  Under id and
+    the grading every shifted step D_t is a multiple of D_0; the swap makes
+    them differ, so the order of a D_m product is seen."""
     x, y = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
     seeds = (FreePoly.unit(2), x, y, x * y + y * x)
-    for name, sigma in (("id", qsigma.identity), ("grading", qsigma.grading_sigma)):
+    sigmas = (("id", qsigma.identity), ("grading", qsigma.grading_sigma),
+              ("swap", qsigma.endomorphism({1: y, 2: x})))
+    for name, sigma in sigmas:
         for seed in seeds:
             mismatch = _theorem_b_mismatch(max_n, name, sigma, seed)
             if mismatch:
                 return False, mismatch
-    return True, f"n <= {max_n}, both sigmas"
+    return True, f"n <= {max_n}, sigmas id, grading and swap"
 
 
 def verify_qbell(max_n: int = 6):
@@ -192,13 +196,11 @@ def verify_qbell(max_n: int = 6):
             return False, f"q-binomial identity failed at n={n}"
         if qsigma.qbell_at_one(n) != bell.bell_word(n):
             return False, f"q=1 specialization failed at n={n}"
-        total = FreePoly.zero(2)
-        for k in range(n + 1):
-            part = qsigma.qbell_partial(n, k)
+        parts = qsigma.bell_partials(n, qsigma.grading_sigma)
+        for k, part in enumerate(parts):
             if part != qsigma.qbell_partial_alt(n, k):
                 return False, f"alternative recursion mismatch at ({n},{k})"
-            total = total + part
-        if total != qsigma.qbell(n):
+        if sum(parts, FreePoly.zero(2)) != qsigma.qbell(n):
             return False, f"partial q-Bell sum mismatch at n={n}"
     return True, f"n <= {max_n}"
 

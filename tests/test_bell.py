@@ -1,11 +1,14 @@
 import pytest
 
-from ncbinom.bell import (bell_dual, bell_dual_partial_word, bell_dual_word,
-                          bell_ls_form, bell_partial, bell_partial_word,
-                          bell_word, binomial_via_bell, classical_bell_formula,
+from ncbinom.bell import (_dual_rec, bell_dual, bell_ls_form, bell_partial, bell_word,
+                          binomial_via_bell, classical_bell_formula,
                           classical_bell_project, sh_filter)
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import PBWPoly, pbw_rewrite
+from ncbinom.qsigma import bell_dual_partials, bell_partials, partial_at
+
+X = FreePoly.letter(1, 2)
+Y = FreePoly.letter(2, 2)
 
 
 def M(*factors):
@@ -14,16 +17,20 @@ def M(*factors):
 
 class TestRecursion:
     def test_base_cases(self):
-        assert bell_partial_word(0, 0) == FreePoly.unit(2)
-        assert bell_partial_word(3, 0) == FreePoly.zero(2)
-        assert bell_partial_word(2, 3) == FreePoly.zero(2)
-        with pytest.raises(ValueError):
-            bell_partial_word(-1, 0)
+        assert bell_partials(0) == (FreePoly.unit(2),)
+        assert bell_partials(3)[0] == FreePoly.zero(2)
+        assert partial_at(bell_partials(2), 3) == FreePoly.zero(2)
+        assert bell_partial(3, 5) == PBWPoly.zero(2)
+        assert bell_dual(3, 5) == PBWPoly.zero(2)
+        for bad in (lambda: bell_partials(-1), lambda: bell_dual_partials(-1),
+                    lambda: partial_at(bell_partials(2), -1), lambda: bell_partial(2, -1),
+                    lambda: bell_dual(2, -1)):
+            with pytest.raises(ValueError):
+                bad()
 
     def test_first_values(self):
-        y = FreePoly.letter(2)
-        assert bell_partial_word(1, 1) == y
-        assert bell_partial_word(2, 2) == y * y
+        assert bell_partials(1)[1] == Y
+        assert bell_partials(2)[2] == Y * Y
         # B(2,1) = [x, y] = E_12
         assert bell_partial(2, 1) == M(((1, 2), 1))
 
@@ -40,11 +47,22 @@ class TestRecursion:
 
     def test_homogeneity(self):
         for n in range(7):
-            for k in range(n + 1):
-                p = bell_partial_word(n, k)
+            for k, p in enumerate(bell_partials(n)):
                 for w in p.terms:
                     assert len(w) == n
                     assert sum(1 for a in w if a == 2) == k
+            for k, p in enumerate(bell_dual_partials(n)):
+                for w in p.terms:
+                    assert len(w) == n
+                    assert sum(1 for a in w if a == 1) == k
+
+    def test_partials_follow_the_bell_recursion(self):
+        # B(n,k) = y B(n-1,k-1) + [x, B(n-1,k)]
+        for n in range(1, 7):
+            prev = bell_partials(n - 1) + (FreePoly.zero(2),)
+            for k, p in enumerate(bell_partials(n)):
+                below = prev[k - 1] if k else FreePoly.zero(2)
+                assert p == Y * below + X * prev[k] - prev[k] * X
 
 
 class TestFilterIdentity:
@@ -66,11 +84,12 @@ class TestFilterIdentity:
                 assert got == sh_filter((n - k, k), "leftmost_not_E2")
 
     def test_dual_full_is_sum_of_parts(self):
-        for n in range(6):
+        # the dual recursion on the whole polynomial, at swapped arguments
+        for n in range(7):
             total = FreePoly.zero(2)
-            for k in range(n + 1):
-                total = total + bell_dual_partial_word(n, k)
-            assert total == bell_dual_word(n)
+            for part in bell_dual_partials(n):
+                total = total + part
+            assert total == _dual_rec(n, Y, X)
 
 
 class TestBinomialExpansions:

@@ -4,8 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbinom.freepoly import (FreePoly, commutator, sh_multidegree,
-                              sh_word_basis, shuffle_product)
+from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
 
 words = st.lists(st.integers(1, 2), min_size=0, max_size=6).map(tuple)
 
@@ -122,8 +121,7 @@ class TestShuffleTypePolynomials:
     def test_word_route_matches_recursion(self):
         for i in range(5):
             for j in range(5):
-                assert sh_word_basis(i, j) == sh_multidegree((j, i))
-                assert sh_word_basis(i, j) == shuffle_product(
+                assert sh_multidegree((j, i)) == shuffle_product(
                     FreePoly.word((2,) * i, 2), FreePoly.word((1,) * j, 2))
 
     def test_binomial_resolution(self):
@@ -133,7 +131,7 @@ class TestShuffleTypePolynomials:
         for n in range(9):
             total = FreePoly.zero()
             for k in range(n + 1):
-                total = total + sh_word_basis(k, n - k)
+                total = total + sh_multidegree((n - k, k))
             assert total == (x + y) ** n
 
     def test_commutation_recurrence(self):
@@ -142,8 +140,8 @@ class TestShuffleTypePolynomials:
         y = FreePoly.letter(2)
         for i in range(1, 6):
             for j in range(1, 6):
-                lhs = commutator(x, sh_word_basis(i, j - 1))
-                rhs = commutator(sh_word_basis(i - 1, j), y)
+                lhs = commutator(x, sh_multidegree((j - 1, i)))
+                rhs = commutator(sh_multidegree((j, i - 1)), y)
                 assert lhs == rhs
 
     def test_splitting_identity(self):
@@ -155,8 +153,9 @@ class TestShuffleTypePolynomials:
                     for t in range(min(k, j) + 1):
                         if k - t > i:
                             continue
-                        total = total + sh_word_basis(k - t, t) * sh_word_basis(i - k + t, j - t)
-                    assert total == sh_word_basis(i, j)
+                        total = total + (sh_multidegree((t, k - t))
+                                         * sh_multidegree((j - t, i - k + t)))
+                    assert total == sh_multidegree((j, i))
 
     def test_ternary_multidegree(self):
         p = sh_multidegree((1, 1, 1), 3)

@@ -4,6 +4,9 @@ The expected bytes were recorded before text, LaTeX and JSON were moved onto
 one term walk; text and JSON must not change.  The one later change is the
 JSON ring tag of ``qbell`` and of ``ore``'s ``x^0`` line: it is read from every
 coefficient, so their q-polynomial coefficients make it ``Q[q]``, not ``Q``.
+The partial ``bell``/``qbell`` entries (``--k``) were recorded from the
+hand-written Bell and q-Bell recursions before they were replaced by reads of
+the SH-hat triangle.
 """
 
 import pytest
@@ -99,6 +102,30 @@ GOLDEN = {
             '{"coeff": "1", "word": "122"}, {"coeff": "q^3", "word": "211"}, '
             '{"coeff": "1", "word": "212"}, {"coeff": "-1*q + -1*q^2", "word": '
             '"221"}, {"coeff": "1", "word": "222"}]}\n'),
+    },
+    ('qbell', '--n', '4', '--k', '2'): {
+        'text': ('1*E(1122) + 1*E(1212) + (-1*q + -1*q^2 + -1*q^3)*E(1221) + 1*E(2112) + '
+            '(-1*q + -1*q^2 + -1*q^3)*E(2121) + (q^3 + q^4 + q^5)*E(2211)\n'),
+        'json': ('{"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "word": "1122"}, {"coeff": "1", "word": "1212"}, {"coeff": "-1*q + '
+            '-1*q^2 + -1*q^3", "word": "1221"}, {"coeff": "1", "word": "2112"}, '
+            '{"coeff": "-1*q + -1*q^2 + -1*q^3", "word": "2121"}, {"coeff": "q^3 + '
+            'q^4 + q^5", "word": "2211"}]}\n'),
+    },
+    # every coefficient of B_q(3,3) = y^3 is the integer 1, so the ring is Q
+    ('qbell', '--n', '3', '--k', '3'): {
+        'text': ('1*E(222)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"word": "222"}]}\n'),
+    },
+    # k > n is the zero polynomial, not an error
+    ('bell', '--n', '3', '--k', '5'): {
+        'text': ('B(3,5): 0\n'),
+        'json': ('B(3,5): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": []}\n'),
+    },
+    ('qbell', '--n', '3', '--k', '5'): {
+        'text': ('0\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": []}\n'),
     },
     ('ore', '--n', '2', '--sigma', 'grading'): {
         'text': ('coeff of x^2: 1*E(e)\ncoeff of x^1: (1 + q)*E(2)\ncoeff of x^0: '

@@ -5,11 +5,12 @@ import pytest
 
 from ncbinom.freepoly import FreePoly
 from ncbinom import qsigma
-from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, binomial_q_verify,
-                            check_sigma_derivation, d_m_sums, endomorphism,
-                            gen_derivation, grading_sigma, identity, ore_binomial,
-                            qbell, qbell_at_one, qbell_partial, qbell_partial_alt,
-                            sh_hat_apply, sh_hat_triangle, step, y_derivative_q)
+from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, bell_partials,
+                            binomial_q_verify, check_sigma_derivation, d_m_sums,
+                            endomorphism, gen_derivation, grading_sigma, identity,
+                            ore_binomial, partial_at, qbell, qbell_at_one,
+                            qbell_partial_alt, sh_hat_apply, sh_hat_triangle, step,
+                            y_derivative_q)
 from ncbinom.bell import bell_word
 from ncbinom.rings import QPoly, q_binomial
 from ncbinom.verify import run_suite
@@ -174,7 +175,13 @@ def _bump(bumps):
 
 class TestTheoremBSuite:
     def test_passes(self):
-        assert run_suite("theorem-b", 4) == (True, "n <= 4, both sigmas")
+        assert run_suite("theorem-b", 4) == (True, "n <= 4, sigmas id, grading and swap")
+
+    def test_forwards_d_m_order_fails(self, monkeypatch):
+        # d_m_sums with its t loop run forwards sums D_{m_1}...D_{m_k} over
+        # m_1 >= ... >= m_k; only the swap tells the two orders apart
+        monkeypatch.setattr(qsigma, "reversed", list, raising=False)
+        assert run_suite("theorem-b", 4) == (False, "D_m factorization failed at (3,2,swap)")
 
     def test_wrong_triangle_entry_fails(self, monkeypatch):
         monkeypatch.setattr(qsigma, "sh_hat_triangle", _bump({(2, 1): X})[0])
@@ -218,6 +225,11 @@ class TestTheoremBSuite:
         assert done.returncode == 1, done.stderr.decode()
         assert done.stdout.startswith(b"theorem-b: FAIL (D_m factorization failed at")
 
+    def test_forwards_d_m_order_fails_verify_under_O(self, verify_under_O):
+        done = verify_under_O("theorem-b", "from ncbinom import qsigma\nqsigma.reversed = list\n")
+        assert done.returncode == 1, done.stderr.decode()
+        assert done.stdout == b"theorem-b: FAIL (D_m factorization failed at (3,2,swap))\n"
+
 
 class TestQBell:
     def test_small_values(self):
@@ -227,24 +239,53 @@ class TestQBell:
         want = Y * Y + X * Y - (Y * X).map_coeffs(lambda c: Q * c)
         assert qbell(2) == want
 
+    def test_partial_edge_cases(self):
+        assert bell_partials(0, grading_sigma) == (FreePoly.unit(2),)
+        assert bell_partials(3, grading_sigma)[0] == FreePoly.zero(2)
+        assert bell_partials(3, grading_sigma)[3] == Y ** 3
+        assert partial_at(bell_partials(3, grading_sigma), 5) == FreePoly.zero(2)
+        with pytest.raises(ValueError):
+            bell_partials(-1, grading_sigma)
+        with pytest.raises(ValueError):
+            partial_at(bell_partials(3, grading_sigma), -1)
+
+    def test_partial_small_values(self):
+        # B_q(2,1) = ad_q x (y) = xy - q yx
+        assert bell_partials(2, grading_sigma)[1] == X * Y - (Y * X).map_coeffs(lambda c: Q * c)
+
     def test_partials_sum_to_full(self):
         for n in range(7):
             total = FreePoly.zero(2)
-            for k in range(n + 1):
-                total = total + qbell_partial(n, k)
+            for part in bell_partials(n, grading_sigma):
+                total = total + part
             assert total == qbell(n)
 
     def test_partial_homogeneity(self):
         for n in range(6):
-            for k in range(n + 1):
-                for w in qbell_partial(n, k).terms:
+            for k, part in enumerate(bell_partials(n, grading_sigma)):
+                for w in part.terms:
                     assert sum(1 for a in w if a == 2) == k
                     assert len(w) == n
 
     def test_alt_recursion_agrees(self):
         for n in range(7):
-            for k in range(n + 1):
-                assert qbell_partial_alt(n, k) == qbell_partial(n, k)
+            for k, part in enumerate(bell_partials(n, grading_sigma)):
+                assert qbell_partial_alt(n, k) == part
+
+    def test_q_one_partials_are_the_bell_partials(self):
+        for n in range(6):
+            at_one = [p.map_coeffs(lambda c: c(1) if isinstance(c, QPoly) else c)
+                      for p in bell_partials(n, grading_sigma)]
+            assert at_one == list(bell_partials(n))
+
+    def test_verify_qbell_sees_a_wrong_partial(self, monkeypatch):
+        partials = qsigma.bell_partials
+
+        def bumped(n, sigma=identity):
+            parts = partials(n, sigma)
+            return parts[:1] + (parts[1] + Y ** n,) + parts[2:] if n == 3 else parts
+        monkeypatch.setattr(qsigma, "bell_partials", bumped)
+        assert run_suite("qbell", 4) == (False, "alternative recursion mismatch at (3,1)")
 
     def test_q_binomial_expansion(self):
         for n in range(7):
