@@ -1,11 +1,11 @@
 """Bell differential polynomials and their relation to shuffle type polynomials.
 
 Conventions: letter 1 plays x, letter 2 plays y.  The partial polynomial of
-index (n, k) is homogeneous with k letters 2 and n-k letters 1.  It is
-SH_{k,n-k}(y*, ad x)(1), read off the SH-hat triangle of ``qsigma`` by
-``qsigma.bell_partials``.  The dual family is evaluated with swapped roles
-(x = letter 2, y = letter 1), which is the argument order the filter identity
-needs; ``qsigma.bell_dual_partials`` reads it off the same triangle.
+index (n, k) is homogeneous with k letters 2 and n-k letters 1; by definition
+it is SH_{k,n-k}(y*, ad x)(1), read off ``qsigma.bell_partials``.  The dual
+family ``_dual_rec`` is evaluated with swapped roles (x = letter 2, y = letter
+1), the argument order the filter identity needs.  Theorem C reads both off
+the closed-form shuffle type polynomials through ``drop_boundary``.
 """
 
 from __future__ import annotations
@@ -13,17 +13,45 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .freepoly import FreePoly
-from .pbw import PBWPoly, enumerate_pbw_monomials, pbw_rewrite
-from .qsigma import bell_dual_partials, bell_partials, partial_at
+from .pbw import PBWPoly, pbw_rewrite
+from .qsigma import bell_partials
 from .rings import exponent_vectors
-from .shuffle import coeff_closed_form, sh_pbw
+from .shuffle import sh_closed_form, sh_pbw
 
 _X = FreePoly.letter(1, 2)
 _Y = FreePoly.letter(2, 2)
 
+# side: (end of a dropped term's monomial, the Lyndon word of the factor there)
+_BOUNDARY = {"rightmost_not_E1": (-1, (1,)), "leftmost_not_E2": (0, (2,))}
+
+
+def drop_boundary(p: PBWPoly, side: str) -> PBWPoly:
+    """p without the terms whose last PBW factor is E_1 (side='rightmost_not_E1')
+    or whose first factor is E_2 (side='leftmost_not_E2')."""
+    if side not in _BOUNDARY:
+        raise ValueError(f"unknown side {side!r}")
+    end, alpha = _BOUNDARY[side]
+    return PBWPoly._make({mono: c for mono, c in p.terms.items()
+                          if not (mono and mono[end][0] == alpha)}, p.m)
+
+
+def sh_filter(counts, side: str) -> PBWPoly:
+    """Shuffle type polynomial with boundary terms dropped, by the rewrite route."""
+    return drop_boundary(sh_pbw(counts, 2), side)
+
+
+def _closed_filter(n: int, k: int, counts, side: str) -> PBWPoly:
+    """drop_boundary of the closed-form SH_counts; zero for k > n."""
+    if n < 0 or k < 0:
+        raise ValueError("negative index")
+    if k > n:
+        return PBWPoly.zero(2)
+    return drop_boundary(sh_closed_form(counts, 2), side)
+
 
 def bell_partial(n: int, k: int) -> PBWPoly:
-    return pbw_rewrite(partial_at(bell_partials(n), k))
+    """B(n,k): SH_{k,n-k} without the terms whose last factor is E_1."""
+    return _closed_filter(n, k, (k, n - k), "rightmost_not_E1")
 
 
 def bell_word(n: int) -> FreePoly:
@@ -40,8 +68,9 @@ def _dual_rec(n: int, x: FreePoly, y: FreePoly) -> FreePoly:
 
 
 def bell_dual(n: int, k: int) -> PBWPoly:
-    """Part of the dual polynomial at swapped arguments with exactly k letters 1."""
-    return pbw_rewrite(partial_at(bell_dual_partials(n), k))
+    """Part of the dual polynomial at swapped arguments with exactly k letters 1:
+    SH_{n-k,k} without the terms whose first factor is E_2."""
+    return _closed_filter(n, k, (n - k, k), "leftmost_not_E2")
 
 
 def binomial_via_bell(n: int, dual: bool = False) -> FreePoly:
@@ -57,47 +86,6 @@ def binomial_via_bell(n: int, dual: bool = False) -> FreePoly:
             part = bell_word(k) * _X ** (n - k)
         total = total + part.scale(comb(n, k))
     return total
-
-
-def sh_filter(counts, side: str) -> PBWPoly:
-    """Shuffle type polynomial with boundary terms dropped.
-
-    side='rightmost_not_E1' removes terms whose last PBW factor is the
-    single letter 1; side='leftmost_not_E2' removes terms whose first factor
-    is the single letter 2.
-    """
-    full = sh_pbw(counts, 2)
-    if side == "rightmost_not_E1":
-        keep = {mono: c for mono, c in full.terms.items()
-                if not (mono and mono[-1][0] == (1,))}
-    elif side == "leftmost_not_E2":
-        keep = {mono: c for mono, c in full.terms.items()
-                if not (mono and mono[0][0] == (2,))}
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return PBWPoly(keep, 2)
-
-
-def bell_ls_form(n: int, k: int) -> PBWPoly:
-    """Direct assembly of the partial Bell polynomial from closed-form coefficients.
-
-    Sums over PBW monomials of multidegree (k letters 2, n-k letters 1) with
-    no trailing single-letter-1 factor.
-    """
-    if n < k or k < 0:
-        raise ValueError("need n >= k >= 0")
-    if n == 0:
-        return PBWPoly.monomial((), 2)
-    if k == 0:
-        return PBWPoly.zero(2)
-    terms = {}
-    for mono in enumerate_pbw_monomials(2, (n - k, k)):
-        if mono and mono[-1][0] == (1,):
-            continue
-        c = coeff_closed_form(mono)
-        if c:
-            terms[mono] = c
-    return PBWPoly(terms, 2)
 
 
 def _omega(m: int):

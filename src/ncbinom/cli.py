@@ -311,57 +311,64 @@ def cmd_qbell(args):
     return 0
 
 
+# model: (options it needs, options it may take); the others here are refused
+_QUOTIENT_OPTIONS = {"weyl": (("d",), ()), "blumen": (("n",), ()),
+                     "qcomm-bell": (("n", "k"), ()), "kill": (("set", "expr"), ("alphabet",))}
+
+
 def cmd_quotient(args):
     if args.model in ("blumen", "qcomm-bell") and args.format != "text":
         raise UsageError(f"quotient {args.model} has only text output")
+    required, optional = _QUOTIENT_OPTIONS[args.model]
+    if any(getattr(args, name) in (None, "") for name in required):
+        raise UsageError(f"quotient {args.model} needs "
+                         + " and ".join(f"--{name}" for name in required))
+    extra = sorted({f"--{name}" for req, opt in _QUOTIENT_OPTIONS.values() for name in req + opt
+                    if name not in required + optional and getattr(args, name) is not None})
+    if extra:
+        raise UsageError(f"quotient {args.model} does not take {', '.join(extra)}")
     if args.model == "weyl":
-        if args.d is None:
-            raise UsageError("quotient weyl needs --d")
         _degree_guard(args.d, args.max_degree)
         _print_poly(quotients.weyl_binomial(args.d), args.format)
         return 0
     if args.model == "blumen":
-        if args.n is None:
-            raise UsageError("quotient blumen needs --n")
         _degree_guard(args.n, args.max_degree)
         for (r, s, t), c in sorted(quotients.blumen_binomial(args.n).items()):
             print(f"y^{r} h^{s} x^{t}: {c}")
         return 0
     if args.model == "qcomm-bell":
-        if args.n is None or args.k is None:
-            raise UsageError("quotient qcomm-bell needs --n and --k")
         _degree_guard(args.n, args.max_degree)
         for word, c in sorted(quotients.qcomm_bell_closed(args.n, args.k).items()):
             mono = " ".join(f"d{i}" for i in word) or "1"
             print(f"{mono}: {c}")
         return 0
-    if args.model == "kill":
-        if not args.set or args.expr is None:
-            raise UsageError("quotient kill needs --set and --expr")
-        kill = {_word_arg(w, args.alphabet) for w in args.set.split(",")}
-        for w in kill:
-            if not is_lyndon(w):
-                raise UsageError(f"{format_word(w, args.alphabet)} is not a Lyndon word")
-        f = parse_expression(args.expr, args.alphabet, args.max_degree)
-        _print_poly(quotients.kill_project(pbw_rewrite(f), kill), args.format)
-        return 0
-    raise UsageError(f"unknown quotient model {args.model!r}")
+    m = 2 if args.alphabet is None else args.alphabet
+    kill = {_word_arg(w, m) for w in args.set.split(",")}
+    for w in kill:
+        if not is_lyndon(w):
+            raise UsageError(f"{format_word(w, m)} is not a Lyndon word")
+    f = parse_expression(args.expr, m, args.max_degree)
+    _print_poly(quotients.kill_project(pbw_rewrite(f), kill), args.format)
+    return 0
 
 
 def _operator_from_spec(path: str, kind: str, sigma=None):
     try:
         with open(path) as fh:
             spec = json.load(fh)
-        m = spec.get("alphabet", 2)
+        if spec.get("alphabet", 2) != 2:
+            raise ValueError(f"alphabet {spec['alphabet']!r}; ore works over 2 letters")
         images = {}
         for x, doc in spec["images"].items():
             if doc["ring"] not in ("Q", "Q[q]"):
                 raise ValueError(f"image of {x} is over {doc['ring']}; "
                                  f"ore works over Q and Q[q]")
-            images[int(x)] = parse_json(doc)
+            image = images[int(x)] = parse_json(doc)
+            if not isinstance(image, FreePoly) or image.m != 2:
+                raise ValueError(f"image of {x} is not a word polynomial over 2 letters")
         if kind == "endomorphism":
-            return qsigma.endomorphism(images, m)
-        return qsigma.gen_derivation(images, sigma, m)
+            return qsigma.endomorphism(images)
+        return qsigma.gen_derivation(images, sigma)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise UsageError(f"cannot read {kind} spec {path!r}: {e}")
 
@@ -461,13 +468,13 @@ def build_parser():
     sp.set_defaults(fn=cmd_qbell)
 
     sp = sub.add_parser("quotient", help="structured quotient expansions")
-    sp.add_argument("model", choices=["weyl", "blumen", "qcomm-bell", "kill"])
+    sp.add_argument("model", choices=list(_QUOTIENT_OPTIONS))
     sp.add_argument("--d", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--set", help="comma-separated Lyndon generators to kill")
     sp.add_argument("--expr")
-    sp.add_argument("--alphabet", type=int, default=2)
+    sp.add_argument("--alphabet", type=int)
     _add_common(sp)
     sp.set_defaults(fn=cmd_quotient)
 

@@ -167,7 +167,8 @@ class FreePoly(SparseCombination):
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        # the cheap class test first: Fraction in _SCALARS is checked through its ABC
+        if not isinstance(other, FreePoly) and isinstance(other, _SCALARS):
             return self.scale(other)
         self._check(other)
         if len(self.terms) == 1 or len(other.terms) == 1:

@@ -6,7 +6,7 @@ A sigma-operator is any callable FreePoly -> FreePoly: ``identity``,
 shuffle polynomials SH-hat built from the step f -> delta(f) + y*f and sigma,
 with delta = ad_sigma(x) for the binomial theorem, and their factorization
 through the shifted steps D_m.  The one triangle ``_sh_hat_rows`` also gives
-the Bell, q-Bell and dual Bell partials SH-hat_{k,n-k}(y*, ad_sigma x)(1).
+the Bell and q-Bell partials SH-hat_{k,n-k}(y*, ad_sigma x)(1).
 """
 
 from __future__ import annotations
@@ -134,18 +134,9 @@ def bell_partials(n: int, sigma: Op = identity) -> tuple:
     return tuple(_sh_hat_coeffs(n, lambda f: _Y * f, ad_sigma(_X, sigma), FreePoly.unit(2)))
 
 
-@lru_cache(maxsize=None)
-def bell_dual_partials(n: int) -> tuple:
-    """Dual Bell partials at swapped arguments x = letter 2, y = letter 1, entry
-    k with k letters 1: the triangle of ``bell_partials`` with the products on
-    the right, step f -> f*y and sigma-slot f -> f*x - x*f."""
-    return tuple(_sh_hat_coeffs(n, lambda f: f * _X, lambda f: f * _Y - _Y * f,
-                                FreePoly.unit(2)))
-
-
 def partial_at(parts: tuple, k: int) -> FreePoly:
-    """Entry k of a tuple from ``bell_partials`` or ``bell_dual_partials``:
-    zero for k > n; a negative k raises ValueError."""
+    """Entry k of a tuple from ``bell_partials``: zero for k > n; a negative k
+    raises ValueError."""
     if k < 0:
         raise ValueError("negative index")
     return parts[k] if k < len(parts) else FreePoly.zero(2)

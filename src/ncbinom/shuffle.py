@@ -3,7 +3,8 @@
 The closed form gives the coefficient of any PBW monomial in the shuffle type
 polynomial of its multidegree as a factorial quotient times a product of
 per-Lyndon-word integers, computed in exact integers with an explicit
-divisibility check.
+divisibility check.  Every command takes this route (``sh_closed_form``);
+``sh_pbw`` rewrites the word form, as the second route of ``verify``.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def sh_pbw_char_p(k: int, p: int) -> PBWPoly:
     """SH_{k, p-k} over GF(p): only single length-p Lyndon factors survive."""
     if not 1 <= k <= p - 1:
         raise ValueError("need 1 <= k <= p-1")
-    reduced = reduce_mod_p(sh_pbw((k, p - k), 2), p)
+    reduced = reduce_mod_p(sh_closed_form((k, p - k), 2), p)
     for mono in reduced.terms:
         if not (len(mono) == 1 and mono[0][1] == 1 and len(mono[0][0]) == p):
             raise CharPViolation(

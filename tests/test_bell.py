@@ -1,11 +1,12 @@
 import pytest
 
-from ncbinom.bell import (_dual_rec, bell_dual, bell_ls_form, bell_partial, bell_word,
+from ncbinom import bell, verify
+from ncbinom.bell import (_dual_rec, bell_dual, bell_partial, bell_word,
                           binomial_via_bell, classical_bell_formula,
-                          classical_bell_project, sh_filter)
+                          classical_bell_project, drop_boundary, sh_filter)
 from ncbinom.freepoly import FreePoly
-from ncbinom.pbw import PBWPoly, pbw_rewrite
-from ncbinom.qsigma import bell_dual_partials, bell_partials, partial_at
+from ncbinom.pbw import PBWPoly, monomial_word, pbw_rewrite
+from ncbinom.qsigma import bell_partials, partial_at
 
 X = FreePoly.letter(1, 2)
 Y = FreePoly.letter(2, 2)
@@ -22,9 +23,11 @@ class TestRecursion:
         assert partial_at(bell_partials(2), 3) == FreePoly.zero(2)
         assert bell_partial(3, 5) == PBWPoly.zero(2)
         assert bell_dual(3, 5) == PBWPoly.zero(2)
-        for bad in (lambda: bell_partials(-1), lambda: bell_dual_partials(-1),
-                    lambda: partial_at(bell_partials(2), -1), lambda: bell_partial(2, -1),
-                    lambda: bell_dual(2, -1)):
+        assert bell_partial(0, 0) == bell_dual(0, 0) == M()
+        for bad in (lambda: bell_partials(-1), lambda: partial_at(bell_partials(2), -1),
+                    lambda: bell_partial(2, -1), lambda: bell_dual(2, -1),
+                    lambda: bell_partial(-1, 0), lambda: bell_dual(-1, 0),
+                    lambda: bell_partial(-1, 2), lambda: bell_dual(-1, 2)):
             with pytest.raises(ValueError):
                 bad()
 
@@ -51,8 +54,9 @@ class TestRecursion:
                 for w in p.terms:
                     assert len(w) == n
                     assert sum(1 for a in w if a == 2) == k
-            for k, p in enumerate(bell_dual_partials(n)):
-                for w in p.terms:
+            for k in range(n + 1):
+                for mono in bell_dual(n, k).terms:
+                    w = monomial_word(mono)
                     assert len(w) == n
                     assert sum(1 for a in w if a == 1) == k
 
@@ -72,11 +76,6 @@ class TestFilterIdentity:
             for k in range(1, n + 1):
                 assert bell_partial(n, k) == sh_filter((k, n - k), "rightmost_not_E1")
 
-    def test_closed_form_assembly(self):
-        for n in range(8):
-            for k in range(n + 1):
-                assert bell_ls_form(n, k) == bell_partial(n, k)
-
     def test_dual_partial_equals_leftmost_filter(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -86,10 +85,63 @@ class TestFilterIdentity:
     def test_dual_full_is_sum_of_parts(self):
         # the dual recursion on the whole polynomial, at swapped arguments
         for n in range(7):
-            total = FreePoly.zero(2)
-            for part in bell_dual_partials(n):
-                total = total + part
-            assert total == _dual_rec(n, Y, X)
+            total = PBWPoly.zero(2)
+            for k in range(n + 1):
+                total = total + bell_dual(n, k)
+            assert total == pbw_rewrite(_dual_rec(n, Y, X))
+
+    def test_closed_form_assembly(self):
+        # the closed route against the Bell triangle and the dual recursion
+        # (at swapped arguments, split by the count of letters 1), for every
+        # k and n up to the CLI's default degree cap
+        for n in range(11):
+            parts = bell_partials(n)
+            dual = _dual_rec(n, Y, X)
+            for k in range(n + 3):
+                assert bell_partial(n, k) == pbw_rewrite(partial_at(parts, k))
+                word = FreePoly({w: c for w, c in dual.terms.items() if w.count(1) == k}, 2)
+                assert bell_dual(n, k) == pbw_rewrite(word)
+
+    def test_drop_boundary(self):
+        p = M(((2,), 1), ((1,), 2)) + M(((2,), 1), ((1, 2), 1)) + M(((1, 2), 1), ((1,), 1)) + M()
+        assert drop_boundary(p, "rightmost_not_E1") == M(((2,), 1), ((1, 2), 1)) + M()
+        assert drop_boundary(p, "leftmost_not_E2") == M(((1, 2), 1), ((1,), 1)) + M()
+
+
+def _planted_filter(side):
+    """Source defining ``planted``, a fault in the shared boundary filter: on
+    one side it drops a boundary factor only when its exponent is 1, so E_1^2
+    (or E_2^2) survives and B(2,0) (or B*(2,0)) is no longer zero."""
+    return ("from ncbinom import bell\n"
+            "from ncbinom.pbw import PBWPoly\n"
+            "filt = bell.drop_boundary\n"
+            "def planted(p, s):\n"
+            f"    if s != {side!r}:\n"
+            "        return filt(p, s)\n"
+            "    end, alpha = bell._BOUNDARY[s]\n"
+            "    return PBWPoly({m: c for m, c in p.terms.items()\n"
+            "                    if not (m and m[end] == (alpha, 1))}, 2)\n")
+
+
+@pytest.mark.parametrize("side, detail", [
+    ("rightmost_not_E1", "primal definition mismatch at (2,0)"),
+    ("leftmost_not_E2", "dual definition mismatch at (2,0)"),
+])
+class TestTheoremCSeesTheSharedFilter:
+    # the closed and rewrite routes share drop_boundary, so only the
+    # definition route can see a fault in it
+
+    def test_in_process(self, monkeypatch, side, detail):
+        scope = {}
+        exec(_planted_filter(side), scope)
+        monkeypatch.setattr(bell, "drop_boundary", scope["planted"])
+        assert verify.verify_theorem_c() == (False, detail)
+
+    def test_under_O(self, verify_under_O, side, detail):
+        done = verify_under_O("theorem-c",
+                              _planted_filter(side) + "bell.drop_boundary = planted\n")
+        assert done.returncode == 1, done.stderr.decode()
+        assert f"theorem-c: FAIL ({detail})".encode() in done.stdout
 
 
 class TestBinomialExpansions:

@@ -327,6 +327,49 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("error:") == 1 and "GF:5" in err and len(err.splitlines()) == 1
 
+    _WORD2 = {"ring": "Q", "basis": "word", "alphabet": 2,
+              "terms": [{"coeff": "1", "word": "2"}]}
+
+    @pytest.mark.parametrize("kind", ["--sigma-spec", "--delta-spec"])
+    @pytest.mark.parametrize("spec, reason", [
+        ({"alphabet": 3, "images": {"1": _WORD2, "2": _WORD2, "3": _WORD2}}, "alphabet 3"),
+        ({"alphabet": 2, "images": {"1": dict(_WORD2, alphabet=3), "2": _WORD2}},
+         "image of 1 is not a word polynomial over 2 letters"),
+        ({"alphabet": 2, "images": {"1": {"ring": "Q", "basis": "pbw", "alphabet": 2,
+                                          "terms": [{"coeff": "1", "factors": [["1", 1]]}]},
+                                    "2": _WORD2}},
+         "image of 1 is not a word polynomial over 2 letters"),
+    ])
+    def test_spec_beyond_two_letters_is_refused(self, tmp_path, capsys, kind, spec, reason):
+        # ore works over 2 letters; a 3-letter spec once ended in an
+        # "alphabet mismatch" traceback
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "ore", "--n", "2", kind, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and reason in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, err", [
+        (("weyl", "--d", "2", "--n", "7", "--set", "12", "--expr", "E(1)", "--alphabet", "5"),
+         "quotient weyl does not take --alphabet, --expr, --n, --set"),
+        (("weyl", "--d", "2", "--alphabet", "2"), "quotient weyl does not take --alphabet"),
+        (("blumen", "--n", "2", "--k", "1"), "quotient blumen does not take --k"),
+        (("qcomm-bell", "--n", "2", "--k", "1", "--d", "3"),
+         "quotient qcomm-bell does not take --d"),
+        (("kill", "--set", "12", "--expr", "E(12)", "--n", "2"),
+         "quotient kill does not take --n"),
+        (("weyl", "--n", "2"), "quotient weyl needs --d"),
+        (("qcomm-bell", "--n", "2"), "quotient qcomm-bell needs --n and --k"),
+        (("kill", "--set", "", "--expr", "E(1)"), "quotient kill needs --set and --expr"),
+    ])
+    def test_quotient_takes_only_the_options_its_model_reads(self, capsys, argv, err):
+        assert run(capsys, "quotient", *argv) == (2, "", f"error: {err}\n")
+
+    def test_quotient_kill_reads_the_alphabet(self, capsys):
+        code, out, err = run(capsys, "quotient", "kill", "--set", "13",
+                             "--expr", "E(13) - E(31) + E(2)", "--alphabet", "3")
+        assert (code, out, err) == (0, "1*E(2)\n", "")
+
     def test_ring_q_accepted_everywhere(self, capsys):
         code, out, _ = run(capsys, "bell", "--n", "2", "--k", "1", "--ring", "Q")
         assert code == 0 and out.strip() == "B(2,1): 1*E(12)"
