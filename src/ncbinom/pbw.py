@@ -12,20 +12,24 @@ the elimination goes, and a violation raises instead of looping.
 The work is done on coded words.  All words of one homogeneous component
 have the same length n, so a word is coded as the base-(m+1) integer of its
 letters, and lex order on the words is numeric order on the codes.
-``_basis_codes`` builds E_alpha by the bracket recursion and
-``_expansion_codes`` a monomial's expansion as E_alpha times the expansion
-of the rest; since the two factors have fixed lengths, every concatenation
-``u * (m+1)**len(rest) + v`` is distinct.  ``pbw_rewrite`` streams each top
-expansion straight into its component, so of the rewrite only the basis
-elements and the lower-degree tails are cached, never the top expansions
-that are used once.  ``ls_basis_element`` and ``pbw_expand_monomial`` decode
-the same codes into ``FreePoly`` and cache that for their other callers.
+``_basis_codes`` builds E_alpha by the bracket recursion.  A monomial's
+expansion is the product of its factors' basis codes: each factor sits at a
+fixed position, so a word of the product is coded by the sum of its factors'
+codes, each shifted by a fixed power of m+1.  ``_factor_parts`` folds the
+letters into one base code and the multi-word factors but the largest into
+a short list of (base, coefficient) pairs; ``pbw_rewrite`` streams the
+largest factor against those pairs straight into the component, and
+``_expansion_codes`` collects the same product into a dict.  So of the
+elimination only the basis elements are cached, never an expansion.
+``ls_basis_element`` and ``pbw_expand_monomial`` decode the codes into
+``FreePoly`` and cache that for their other callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .freepoly import FreePoly, SparseCombination, commutator
@@ -97,26 +101,46 @@ def _basis_codes(alpha: Word, m: int) -> dict:
     return codes
 
 
-def _head_rest(mono: PBWMonomial):
-    """Split E_alpha^t E_... into E_alpha and the rest, E_alpha^(t-1) E_..."""
-    (alpha, t), later = mono[0], mono[1:]
-    return alpha, (((alpha, t - 1),) + later if t > 1 else later)
+_UNIT = {0: 1}  # the expansion of the empty product; read, never written
 
 
-@lru_cache(maxsize=None)
-def _expansion_codes(mono: PBWMonomial, m: int) -> dict:
-    """Expansion of a monomial as {code: coefficient}: E_alpha times the rest.
+def _factor_parts(mono: PBWMonomial, m: int):
+    """The expansion of a monomial as (pairs, shift, codes): the sum over
+    (b, c) in pairs and (u, a) in codes.items() of c*a at code b + u*shift.
 
-    The words of the two factors have fixed lengths, so the concatenations
-    are distinct and their coefficients, products of nonzero integers, are
-    nonzero: the product needs no collecting.
+    Every factor sits at a fixed position, so the codes of its words shift
+    by a fixed power and the keys of the product add.  Letters fold into the
+    base code of every pair.  The factor with the most words is left out of
+    the pairs, to be streamed innermost; the other multi-word factors expand
+    into the pairs.  Keys are distinct and coefficients, products of nonzero
+    integers, are nonzero, so the product needs no collecting.
     """
-    if not mono:
-        return {0: 1}
-    alpha, rest = _head_rest(mono)
-    head, tail = _basis_codes(alpha, m), _expansion_codes(rest, m)
-    shift = (m + 1) ** monomial_degree(rest)
-    return {u * shift + v: a * b for u, a in head.items() for v, b in tail.items()}
+    base, shift, factors, m1 = 0, 1, [], m + 1
+    for alpha, t in reversed(mono):
+        if len(alpha) == 1:  # t copies of the letter: a geometric run of codes
+            run = m1 ** t
+            base += alpha[0] * shift * (run - 1) // m
+            shift *= run
+        else:
+            codes, step = _basis_codes(alpha, m), m1 ** len(alpha)
+            for _ in range(t):
+                factors.append((shift, codes))
+                shift *= step
+    if len(factors) < 2:
+        shift, codes = factors[0] if factors else (1, _UNIT)
+        return ((base, 1),), shift, codes
+    factors.sort(key=lambda factor: len(factor[1]))
+    shift, codes = factors.pop()
+    pairs = [(base, 1)]
+    for s, other in factors:
+        pairs = [(b + u * s, c * a) for b, c in pairs for u, a in other.items()]
+    return pairs, shift, codes
+
+
+def _expansion_codes(mono: PBWMonomial, m: int) -> dict:
+    """Expansion of a monomial as {code: coefficient}: its factors' product."""
+    pairs, shift, codes = _factor_parts(mono, m)
+    return {b + u * shift: c * a for b, c in pairs for u, a in codes.items()}
 
 
 @lru_cache(maxsize=None)
@@ -214,11 +238,11 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     expansion, so no step divides.  The result is divided by L at the end;
     integer input gives integer coefficients.
 
-    The expansion E_alpha * E_rest of the monomial is streamed into the
-    component, its least word included, which it must cancel.  So each
-    elimination must leave every remaining code above the one it eliminated;
-    a word left at or below it, whether the least word kept a coefficient
-    other than 1 or a lower word came in, raises ``ArithmeticError``.
+    The expansion of the monomial, the product of its factors' basis codes,
+    is streamed into the component, its least word included, which it must
+    cancel.  The codes wait in a heap, so each elimination takes the least
+    one left.  A least word that keeps a coefficient, or a word that comes in
+    at or below an eliminated one, raises ``ArithmeticError``.
     """
     denom = 1
     for c in f.terms.values():
@@ -230,39 +254,47 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     components = {}
     for w, c in f.terms.items():
         k = _code(w, m)
-        components.setdefault(multidegree(w, m), {})[k] = int(c * denom)
+        # c * denom exactly, without Fraction arithmetic (an int is its own numerator)
+        components.setdefault(multidegree(w, m), {})[k] = c.numerator * (denom // c.denominator)
     out = {}
     for counts, comp in components.items():
         n = sum(counts)
+        get = comp.get
+        heap = list(comp)
+        heapify(heap)
         last = -1
-        while comp:
-            k = min(comp)
+        while heap:
+            k = heappop(heap)
+            c = get(k)
+            if c is None:  # cancelled since it was pushed
+                continue
             w = _decode(k, n, m)
             if k <= last:
                 raise ArithmeticError(
                     f"expansion of {mono} leaves the word {w} at or below its least word "
                     f"{_decode(last, n, m)}; the PBW basis is not triangular")
             last = k
-            c = comp[k]
             mono = monomial_from_word(w)
             out[mono] = out.get(mono, 0) + c
-            if not mono:  # the constant term
-                del comp[k]
-                continue
-            alpha, rest = _head_rest(mono)
-            tail = _expansion_codes(rest, m)
-            shift = (m + 1) ** (n - len(alpha))
-            get = comp.get
-            for u, a in _basis_codes(alpha, m).items():
-                u *= shift
-                a *= c
-                for v, b in tail.items():
-                    key = u + v
-                    r = get(key, 0) - a * b
-                    if r:
-                        comp[key] = r
+            pairs, shift, codes = _factor_parts(mono, m)
+            for b, d in pairs:
+                d *= c
+                for u, a in codes.items():
+                    key = b + u * shift
+                    r = get(key)
+                    if r is None:
+                        comp[key] = -d * a
+                        heappush(heap, key)
                     else:
-                        del comp[key]
+                        r -= d * a
+                        if r:
+                            comp[key] = r
+                        else:
+                            del comp[key]
+            if k in comp:
+                raise ArithmeticError(
+                    f"expansion of {mono} does not cancel its least word {w}; "
+                    "the PBW basis is not triangular")
     if denom != 1:
         out = {mono: Fraction(c, denom) for mono, c in out.items()}
     return PBWPoly(out, m)

@@ -53,16 +53,25 @@ def step(delta: Op, y: FreePoly) -> Op:
 
 
 def endomorphism(images, m: int = 2) -> Op:
-    """Algebra endomorphism given by the images of the generators 1..m."""
+    """Algebra endomorphism given by the images of the generators 1..m.
+
+    The returned phi memoises the image of every word it meets as
+    image(w[:-1]) * image(w[-1:]).  The memo lives in phi's closure, so
+    two endomorphisms never share entries.
+    """
     images = {x: images[x] for x in range(1, m + 1)}
+    memo = {(): FreePoly.unit(m)}
+
+    def image(w):
+        img = memo.get(w)
+        if img is None:
+            img = memo[w] = image(w[:-1]) * images[w[-1]]
+        return img
 
     def phi(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
         for w, c in f.terms.items():
-            img = FreePoly.unit(f.m)
-            for x in w:
-                img = img * images[x]
-            out = out + img.scale(c)
+            out = out + image(w).scale(c)
         return out
     return phi
 

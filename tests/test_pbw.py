@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import warnings
 
 import pytest
 
+import ncbinom
 from ncbinom import pbw
 from ncbinom.freepoly import FreePoly, commutator
 from ncbinom.pbw import (InvariantError, OrderViolation, PBWPoly,
@@ -287,6 +290,39 @@ class TestCodedEngine:
                 for alpha, t in mono:
                     want = want * ls_basis_element(alpha, m) ** t
                 assert pbw_expand_monomial(mono, m) == want, mono
+
+    @pytest.mark.parametrize("mono, m", [
+        # a one-word factor between multi-word ones
+        ((((2, 3), 1), ((2,), 1), ((1, 3), 1)), 3),
+        # a multi-word factor to a power, then a letter
+        ((((1, 2), 3), ((1,), 1)), 2),
+        # letters on both sides of a power, and several multi-word factors
+        ((((3,), 2), ((2, 3), 1), ((1, 3), 2), ((1, 2), 1), ((1,), 1)), 3),
+        ((((1, 2, 2), 2), ((1, 1, 2), 1)), 2),
+    ])
+    def test_product_engine_on_mixed_shapes(self, mono, m):
+        want = FreePoly.unit(m)
+        for alpha, t in mono:
+            want = want * ls_basis_element(alpha, m) ** t
+        assert pbw_expand_monomial(mono, m) == want
+        assert pbw_rewrite(want) == PBWPoly.monomial(mono, m)
+        assert pbw_rewrite(want.scale(-3)) == PBWPoly.monomial(mono, m, -3)
+
+    def test_rewrite_caches_only_basis_codes(self):
+        for info in pkgutil.iter_modules(ncbinom.__path__, "ncbinom."):
+            importlib.import_module(info.name)
+        caches = {id(v): v for name, mod in sys.modules.items()
+                  if name == "ncbinom" or name.startswith("ncbinom.")
+                  for v in vars(mod).values() if callable(getattr(v, "cache_clear", None))}
+        assert pbw._basis_codes in caches.values()
+        for cache in caches.values():
+            cache.cache_clear()
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        pbw_rewrite((x + y) ** 8)
+        filled = {f"{c.__module__}.{c.__qualname__}": c.cache_info().currsize
+                  for c in caches.values() if c.cache_info().currsize}
+        assert filled.keys() == {"ncbinom.pbw._basis_codes"}, filled
+        assert filled["ncbinom.pbw._basis_codes"] <= len(lyndon_enumerate(2, 8)) == 71
 
     def test_rewrite_roundtrip_with_two_digit_letters(self):
         # m = 12: letters 10..12 are two decimal digits, the codes are base 13

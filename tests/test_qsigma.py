@@ -24,6 +24,14 @@ def left_mul_y(f):
     return Y * f
 
 
+def image_by_letters(images, w):
+    """Oracle: the image of the word w as the product of its letters' images."""
+    img = FreePoly.unit(2)
+    for x in w:
+        img = img * images[x]
+    return img
+
+
 class TestOperators:
     def test_step(self):
         op = step(ad_sigma(X, grading_sigma), Y)
@@ -42,6 +50,30 @@ class TestOperators:
         u, v = X * Y, Y * X
         assert phi(u * v) == phi(u) * phi(v)
         assert endomorphism({1: X, 2: Y}, 2)(u) == u
+
+    @pytest.mark.parametrize("images", [
+        {1: Y, 2: X},                                     # the swap
+        {1: X + Y, 2: Y},                                 # the shear x -> x + y
+        {1: X * Y - Y.scale(2), 2: X.scale(Q) + FreePoly.unit(2)},  # not words
+    ])
+    def test_memoised_endomorphism_equals_letter_by_letter_product(self, images):
+        phi = endomorphism(images, 2)
+        words = [w for n in range(6) for w in itertools.product((1, 2), repeat=n)]
+        for w in words + words[::-1]:  # the second pass reads the memo
+            assert phi(FreePoly.word(w, 2)) == image_by_letters(images, w), w
+        f = FreePoly({(): 3, (2, 1): -1, (1, 1, 2): Q}, 2)
+        assert phi(f) == (phi(FreePoly.unit(2)).scale(3) - phi(FreePoly.word((2, 1), 2))
+                          + phi(FreePoly.word((1, 1, 2), 2)).scale(Q))
+
+    def test_endomorphisms_share_no_memo_entries(self):
+        swap_images, shear_images = {1: Y, 2: X}, {1: X + Y, 2: Y}
+        swap, shear = endomorphism(swap_images, 2), endomorphism(shear_images, 2)
+        for n in range(5):
+            for w in itertools.product((1, 2), repeat=n):
+                u = FreePoly.word(w, 2)
+                assert swap(u) == image_by_letters(swap_images, w), w
+                assert shear(u) == image_by_letters(shear_images, w), w
+                assert swap(u) == image_by_letters(swap_images, w), w
 
     def test_generator_images_are_read_eagerly(self):
         for build in (lambda images: endomorphism(images, 2),
