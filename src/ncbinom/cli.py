@@ -338,9 +338,12 @@ def cmd_quotient(args):
         return 0
     if args.model == "qcomm-bell":
         _degree_guard(args.n, args.max_degree)
-        for word, c in sorted(quotients.qcomm_bell_closed(args.n, args.k).items()):
+        terms = sorted(quotients.qcomm_bell_closed(args.n, args.k).items())
+        for word, c in terms:
             mono = " ".join(f"d{i}" for i in word) or "1"
             print(f"{mono}: {c}")
+        if not terms:
+            print("0")
         return 0
     m = 2 if args.alphabet is None else args.alphabet
     kill = {_word_arg(w, m) for w in args.set.split(",")}

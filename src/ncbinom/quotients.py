@@ -1,23 +1,24 @@
 """Structured quotient algebras where the classical binomial formulas live.
 
 Four quotient models: generic kill-sets of Lyndon-Shirshov generators, the
-Weyl-type quotient (only E_2, E_12, E_1 survive), the q-commutative ordered
-d-alphabet (d_v d_u = q^v d_u d_v), and the Blumen rewriting system
-(xy -> qyx + h, xh -> q^2 hx, hy -> q^2 yh).  Production calls return the
-closed formulas and compute each result once; the independent expansion
-routes (``qcomm_bell_recursive``, ``blumen_binomial_rewrite``) are run only
-by ``verify qcomm`` and ``verify blumen``, which compare them explicitly.
+q-commutative ordered d-alphabet (d_v d_u = q^v d_u d_v), the Blumen
+rewriting system (xy -> qyx + h, xh -> q^2 hx, hy -> q^2 yh), which is the
+d-alphabet cut off at order 2, and the Weyl-type quotient (only E_2, E_12,
+E_1 survive), which is Blumen at q = 1.  Every closed form reads the one
+q-multinomial ``qcomm_multinomial``, and both rewrite routes run the one
+rewriter ``normal_order``.  Production calls return the closed forms and
+compute each result once; the rewrite routes (``qcomm_bell_recursive``,
+``blumen_binomial_rewrite``) are run only by ``verify qcomm`` and ``verify
+blumen``, which compare them explicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .pbw import PBWPoly, commutator_ls
-from .rings import (QPoly, exponent_vectors, q_binomial, q_factorial,
-                    q_integer, qpoly_exact_div)
+from .rings import QPoly, exponent_vectors, q_binomial, q_factorial, qpoly_exact_div
 from .words import is_lyndon, lyndon_enumerate
 
 
@@ -108,64 +109,46 @@ def _row_reduce_unit_support(vectors, basis):
     return out
 
 
-# -- Weyl-type quotient ------------------------------------------------------
+# -- the one rewriter --------------------------------------------------------
 
-_E2, _E12, _E1 = (2,), (1, 2), (1,)
+def _add(terms, key, coeff):
+    """terms[key] += coeff, deleting the entry when it cancels."""
+    total = terms[key] + coeff if key in terms else coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
-def weyl_binomial(d: int) -> PBWPoly:
-    """(E_1 + E_2)^d in the quotient where only E_2, E_12, E_1 survive.
+def normal_order(poly, rule):
+    """Rewrite a dict word-tuple -> coefficient to normal order.
 
-    Closed form d!/(t2! 2^t12 t12! t1!).  Its agreement with the killed free
-    expansion and with the half-h binomial formula of the Heisenberg-Weyl
-    algebra under h = E_12 is checked by ``verify blumen``, not here.
+    ``rule(a, b)`` returns the (replacement, factor) pairs for an out-of-order
+    adjacent pair a b, or None when a b is in order.  The leftmost such pair
+    of a word is replaced by each replacement, times its factor, until no
+    word has one.  Both rules below terminate: each replacement sorts
+    the pair or shortens the word.
     """
-    if d < 0:
-        raise ValueError("negative power")
-    terms = {}
-    for t12 in range(d // 2 + 1):
-        for t2 in range(d - 2 * t12 + 1):
-            t1 = d - 2 * t12 - t2
-            coeff = factorial(d) // (
-                factorial(t2) * 2 ** t12 * factorial(t12) * factorial(t1))
-            terms[weyl_monomial(t2, t12, t1)] = coeff
-    return PBWPoly(terms, 2)
-
-
-def weyl_monomial(t2: int, t12: int, t1: int):
-    """The PBW monomial E_2^t2 E_12^t12 E_1^t1, zero exponents left out."""
-    return tuple(p for p in ((_E2, t2), (_E12, t12), (_E1, t1)) if p[1])
+    work = dict(poly)
+    out = {}
+    while work:
+        word, coeff = work.popitem()
+        for pos in range(len(word) - 1):
+            pairs = rule(word[pos], word[pos + 1])
+            if pairs is not None:
+                for replacement, factor in pairs:
+                    _add(work, word[:pos] + replacement + word[pos + 2:], coeff * factor)
+                break
+        else:
+            _add(out, word, coeff)
+    return out
 
 
 # -- q-commutative d-alphabet ------------------------------------------------
 
-def qcomm_normalize(word):
-    """Normal-order a word in the symbols d_i under d_v d_u = q^v d_u d_v (v > u).
-
-    Bubble sort; each adjacent transposition of a descent (v, u) costs q^v.
-    """
-    symbols = list(word)
-    power = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(symbols) - 1):
-            if symbols[i] > symbols[i + 1]:
-                power += symbols[i]
-                symbols[i], symbols[i + 1] = symbols[i + 1], symbols[i]
-                changed = True
-    return QPoly.q(power), tuple(symbols)
-
-
-def _qc_add(terms, word, coeff):
-    factor, normal = qcomm_normalize(word)
-    c = factor * coeff
-    if normal in terms:
-        terms[normal] = terms[normal] + c
-    else:
-        terms[normal] = c
-    if not terms[normal]:
-        del terms[normal]
+def qcomm_rule(a, b):
+    """d_v d_u -> q^v d_u d_v for v > u."""
+    return (((b, a), QPoly.q(a)),) if a > b else None
 
 
 @lru_cache(maxsize=None)
@@ -173,18 +156,16 @@ def qcomm_bell_recursive(n: int, k: int):
     """Route A: the q-weighted recursion over the d-alphabet, normal-ordered.
 
     B(n,k) = sum_l binom(n-1,l)_q B(l,k-1) d_{n-l}; returns a dict mapping
-    sorted symbol tuples to QPoly coefficients.
+    sorted symbol tuples to QPoly coefficients.  The last symbol n-l tells
+    the terms of different l apart, so they are collected without merging.
     """
     if n == 0 and k == 0:
         return {(): QPoly.one()}
     if k == 0 or k > n:
         return {}
-    out = {}
-    for l in range(k - 1, n):
-        b = q_binomial(n - 1, l)
-        for word, c in qcomm_bell_recursive(l, k - 1).items():
-            _qc_add(out, word + (n - l,), b * c)
-    return out
+    terms = {word + (n - l,): q_binomial(n - 1, l) * c
+             for l in range(k - 1, n) for word, c in qcomm_bell_recursive(l, k - 1).items()}
+    return normal_order(terms, qcomm_rule)
 
 
 @lru_cache(maxsize=None)
@@ -192,111 +173,79 @@ def _qcomm_denominator(ts: tuple) -> QPoly:
     """prod_i ((i)_q!)^{t_i} (t_i)_{q^i}! for exponents ts = (t_1, t_2, ...)."""
     den = QPoly.one()
     for i, t in enumerate(ts, start=1):
-        den = den * q_factorial(i) ** t * q_factorial(t).subs_q_power(i)
+        if t:
+            den = den * q_factorial(i) ** t * q_factorial(t).subs_q_power(i)
     return den
 
 
-def qcomm_multinomial(ts) -> QPoly:
-    """(n)_q! / prod_i ((i)_q!)^{t_i} (t_i)_{q^i}! for exponents ts = (t_1, t_2, ...)."""
-    n = sum(i * t for i, t in enumerate(ts, start=1))
-    return qpoly_exact_div(q_factorial(n), _qcomm_denominator(tuple(ts)))
+def qcomm_multinomial(ts, t: int = 0) -> QPoly:
+    """(n)_q! / ((t)_q! prod_i ((i)_q!)^{t_i} (t_i)_{q^i}!) with n = t + sum_i i t_i.
+
+    The coefficient of d_1^{t_1} d_2^{t_2} ... x^t in (x+y)^n; every closed
+    form of this module reads it.
+    """
+    n = t + sum(i * ti for i, ti in enumerate(ts, start=1))
+    return qpoly_exact_div(q_factorial(n), q_factorial(t) * _qcomm_denominator(tuple(ts)))
+
+
+def _d_word(ts):
+    """The sorted symbol tuple d_1^{t_1} d_2^{t_2} ... as (1, .., 1, 2, ..)."""
+    return tuple(i for i, t in enumerate(ts, start=1) for _ in range(t))
 
 
 def qcomm_bell_closed(n: int, k: int):
-    """Route B: the closed q-multinomial form, same key convention as route A."""
-    if n == 0 and k == 0:
-        return {(): QPoly.one()}
-    if k == 0 or k > n:
-        return {}
-    out = {}
-    for ts in exponent_vectors(n, range(1, n - k + 2), k):
-        word = tuple(i for i, t in enumerate(ts, start=1) for _ in range(t))
-        out[word] = qcomm_multinomial(ts)
-    return out
+    """Route B: the closed q-multinomial form, same key convention as route A.
+
+    B(0,0) = 1, and no exponent vector exists for k = 0 < n or k > n.
+    """
+    return {_d_word(ts): qcomm_multinomial(ts)
+            for ts in exponent_vectors(n, range(1, n - k + 2), k)}
 
 
 def qcomm_bell_full(n: int):
     """Full q-commutative Bell polynomial: the partial ones over k, whose words
     have length k and so never collide."""
-    out = {}
-    for k in range(n + 1):
-        out.update(qcomm_bell_closed(n, k))
-    return out
+    return {word: c for k in range(n + 1) for word, c in qcomm_bell_closed(n, k).items()}
 
 
 def qcomm_binomial(n: int):
     """(x+y)^n in the d-alphabet model: map (d-monomial, x-power) -> QPoly.
 
-    Closed form (n)_q!/(prod ((i)_q!)^{t_i}(t_i)_{q^i}! (t)_q!).  Its
-    agreement with the q-binomial-weighted Bell expansion
-    binom(n, k)_q * qcomm_bell_full(k) is checked by ``verify qcomm``.
+    Closed form ``qcomm_multinomial(ts, t)``.  Its agreement with the
+    q-binomial-weighted Bell expansion binom(n, k)_q * qcomm_bell_full(k) is
+    checked by ``verify qcomm``.
     """
-    out = {}
-    for t in range(n + 1):
-        k = n - t
-        for ts in exponent_vectors(k, range(1, k + 1)):
-            word = tuple(i for i, ti in enumerate(ts, start=1) for _ in range(ti))
-            den = q_factorial(t) * _qcomm_denominator(ts)
-            out[(word, t)] = qpoly_exact_div(q_factorial(n), den)
-    return out
+    return {(_d_word(ts), t): qcomm_multinomial(ts, t)
+            for t in range(n + 1) for ts in exponent_vectors(n - t, range(1, n - t + 1))}
 
 
 # -- Blumen quotient ---------------------------------------------------------
 
-_ORDER = {"y": 0, "h": 1, "x": 2}
+_BLUMEN_RULES = {("x", "y"): ((("y", "x"), QPoly.q(1)), (("h",), 1)),
+                 ("x", "h"): ((("h", "x"), QPoly.q(2)),),
+                 ("h", "y"): ((("y", "h"), QPoly.q(2)),)}
 
 
 def blumen_normalize(poly):
     """Rewrite a dict word-tuple -> QPoly to normal order y..h..x.
 
-    Rules: xy -> q yx + h; xh -> q^2 hx; hy -> q^2 yh.  Each step strictly
-    reduces the number of out-of-order adjacent pairs weighted by position,
-    so the loop terminates.
+    Rules: xy -> q yx + h; xh -> q^2 hx; hy -> q^2 yh.
     """
-    work = dict(poly)
-    out = {}
-    while work:
-        word, coeff = work.popitem()
-        pos = next((i for i in range(len(word) - 1)
-                    if _ORDER[word[i]] > _ORDER[word[i + 1]]), None)
-        if pos is None:
-            out[word] = out[word] + coeff if word in out else coeff
-            if not out[word]:
-                del out[word]
-            continue
-        a, b = word[pos], word[pos + 1]
-        head, tail = word[:pos], word[pos + 2:]
-        def put(w, c):
-            work[w] = work[w] + c if w in work else c
-            if not work[w]:
-                del work[w]
-        if (a, b) == ("x", "y"):
-            put(head + ("y", "x") + tail, QPoly.q(1) * coeff)
-            put(head + ("h",) + tail, coeff)
-        elif (a, b) == ("x", "h"):
-            put(head + ("h", "x") + tail, QPoly.q(2) * coeff)
-        elif (a, b) == ("h", "y"):
-            put(head + ("y", "h") + tail, QPoly.q(2) * coeff)
-    return out
+    return normal_order(poly, lambda a, b: _BLUMEN_RULES.get((a, b)))
 
 
 def blumen_binomial(n: int):
     """(x+y)^n in the Blumen algebra as a map (r, s, t) -> QPoly for y^r h^s x^t.
 
-    Closed q-multinomial form (n)_q!/((r)_q!(2)_q^s(s)_{q^2}!(t)_q!).
-    ``verify blumen`` compares it with ``blumen_binomial_rewrite`` and, at
-    q=1, with the Weyl form.
+    The Blumen algebra is the q-commutative d-alphabet cut off at order 2:
+    y = d_1, h = d_2, and y^(k) = 0 for k >= 2.  So its closed form is
+    ``qcomm_multinomial((r, s), t)`` = (n)_q!/((r)_q!(2)_q^s(s)_{q^2}!(t)_q!).
+    ``verify blumen`` compares it with ``blumen_binomial_rewrite``.
     """
     if n < 0:
         raise ValueError("negative power")
-    out = {}
-    for s in range(n // 2 + 1):
-        for r in range(n - 2 * s + 1):
-            t = n - 2 * s - r
-            den = (q_factorial(r) * q_integer(2) ** s *
-                   q_factorial(s).subs_q_power(2) * q_factorial(t))
-            out[(r, s, t)] = qpoly_exact_div(q_factorial(n), den)
-    return out
+    return {(r, s, t): qcomm_multinomial((r, s), t)
+            for t in range(n + 1) for r, s in exponent_vectors(n - t, (1, 2))}
 
 
 def blumen_binomial_rewrite(n: int):
@@ -309,44 +258,43 @@ def blumen_binomial_rewrite(n: int):
         raise ValueError("negative power")
     poly = {(): QPoly.one()}
     for _ in range(n):
-        nxt = {}
-        for word, c in poly.items():
-            for letter in ("x", "y"):
-                key = word + (letter,)
-                nxt[key] = nxt[key] + c if key in nxt else c
-        poly = blumen_normalize(nxt)
+        poly = blumen_normalize({word + (letter,): c for word, c in poly.items()
+                                 for letter in ("x", "y")})
     # a normal-ordered word is y^r h^s x^t, so its letter counts identify it
     return {(word.count("y"), word.count("h"), word.count("x")): c
             for word, c in poly.items()}
 
 
-def blumen_weyl_compare(n: int) -> bool:
-    """At q=1 the Blumen expansion collapses to the Weyl-quotient binomial."""
-    weyl = weyl_binomial(n)
-    for (r, s, t), c in blumen_binomial(n).items():
-        if c(1) != weyl.coeff(weyl_monomial(r, s, t)):
-            return False
-    return True
+def blumen_higher_derivatives_vanish() -> bool:
+    """In the Blumen algebra the q-derivatives of y stop at order 2.
 
-
-def blumen_higher_derivatives_vanish(n_max: int = 5) -> bool:
-    """In the Blumen algebra the iterated q-derivatives of y vanish from order 2.
-
-    y^(0) = y, y^(1) normal-orders to h, and y^(k) = x y^(k-1) - q^k y^(k-1) x
-    (the grading weight of y^(k-1) is k) is zero for k >= 2.
+    y^(k) = x y^(k-1) - q^k y^(k-1) x (the grading weight of y^(k-1) is k):
+    y^(1) = xy - q yx normal-orders to h, and y^(2) = xh - q^2 hx to 0, so
+    every later order is 0 as well.
     """
-    current = {("y",): QPoly.one()}
-    for k in range(1, n_max + 1):
-        nxt = {}
-        for word, c in current.items():
-            left = ("x",) + word
-            nxt[left] = nxt.get(left, QPoly.zero()) + c
-            right = word + ("x",)
-            nxt[right] = nxt.get(right, QPoly.zero()) - QPoly.q(k) * c
-        current = blumen_normalize(nxt)
-        if k == 1:
-            if current != {("h",): QPoly.one()}:
-                return False
-        elif current:
-            return False
-    return True
+    one = QPoly.one()
+    first = blumen_normalize({("x", "y"): one, ("y", "x"): -QPoly.q(1)})
+    second = blumen_normalize({("x", "h"): one, ("h", "x"): -QPoly.q(2)})
+    return first == {("h",): one} and second == {}
+
+
+# -- Weyl-type quotient ------------------------------------------------------
+
+_E2, _E12, _E1 = (2,), (1, 2), (1,)
+
+
+def weyl_binomial(d: int) -> PBWPoly:
+    """(E_1 + E_2)^d in the quotient where only E_2, E_12, E_1 survive.
+
+    The Blumen binomial read at q = 1, with y = E_2, h = E_12, x = E_1: the
+    integer d!/(t2! 2^t12 t12! t1!).  Its agreement with the killed free
+    expansion and with the half-h binomial formula of the Heisenberg-Weyl
+    algebra under h = E_12 is checked by ``verify blumen``, not here.
+    """
+    return PBWPoly({weyl_monomial(r, s, t): c(1)
+                    for (r, s, t), c in blumen_binomial(d).items()}, 2)
+
+
+def weyl_monomial(t2: int, t12: int, t1: int):
+    """The PBW monomial E_2^t2 E_12^t12 E_1^t1, zero exponents left out."""
+    return tuple(p for p in ((_E2, t2), (_E12, t12), (_E1, t1)) if p[1])

@@ -81,6 +81,6 @@ def test_11_characteristic_p_collapse():
 def test_12_composition_and_cyclotomic_identities():
     ok, detail = verify.verify_faa(max_total=10)
     if ok:
-        ok, detail = verify.verify_cyclotomic(max_n=12, qplane_n=8)
+        ok, detail = verify.verify_cyclotomic(max_n=12)
     report("composition-sum and cyclotomic/quantum-plane identities",
            ok, detail)

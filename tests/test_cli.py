@@ -126,6 +126,11 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "d1 d2: 1 + q + q^2"
 
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_quotient_qcomm_vanishing_prints_zero(self, capsys, k):
+        # B(5,0) and B(5,7) are zero; they print 0 as bell --k and qbell --k do
+        assert run(capsys, "quotient", "qcomm-bell", "--n", "5", "--k", k) == (0, "0\n", "")
+
     def test_quotient_blumen(self, capsys):
         code, out, _ = run(capsys, "quotient", "blumen", "--n", "2")
         assert code == 0

@@ -6,7 +6,9 @@ JSON ring tag of ``qbell`` and of ``ore``'s ``x^0`` line: it is read from every
 coefficient, so their q-polynomial coefficients make it ``Q[q]``, not ``Q``.
 The partial ``bell``/``qbell`` entries (``--k``) were recorded from the
 hand-written Bell and q-Bell recursions before they were replaced by reads of
-the SH-hat triangle.
+the SH-hat triangle.  ``quotient blumen`` and ``qcomm-bell`` have text output
+only; their entries were recorded before the quotient closed forms were read
+off one q-multinomial.
 """
 
 import pytest
@@ -163,3 +165,26 @@ GOLDEN = {
 def test_output_is_byte_stable(capsys, argv, fmt):
     assert main([*argv, "--format", fmt]) == 0
     assert capsys.readouterr() == (GOLDEN[argv][fmt], "")
+
+
+TEXT_ONLY = {
+    ('quotient', 'blumen', '--n', '4'): (
+        'y^0 h^0 x^4: 1\n'
+        'y^0 h^1 x^2: 1 + q + 2*q^2 + q^3 + q^4\n'
+        'y^0 h^2 x^0: 1 + q + q^2\n'
+        'y^1 h^0 x^3: 1 + q + q^2 + q^3\n'
+        'y^1 h^1 x^1: 1 + 2*q + 3*q^2 + 3*q^3 + 2*q^4 + q^5\n'
+        'y^2 h^0 x^2: 1 + q + 2*q^2 + q^3 + q^4\n'
+        'y^2 h^1 x^0: 1 + q + 2*q^2 + q^3 + q^4\n'
+        'y^3 h^0 x^1: 1 + q + q^2 + q^3\n'
+        'y^4 h^0 x^0: 1\n'),
+    ('quotient', 'qcomm-bell', '--n', '5', '--k', '2'): (
+        'd1 d4: 1 + q + q^2 + q^3 + q^4\n'
+        'd2 d3: 1 + q + 2*q^2 + 2*q^3 + 2*q^4 + q^5 + q^6\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(TEXT_ONLY), ids=" ".join)
+def test_text_only_output_is_byte_stable(capsys, argv):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr() == (TEXT_ONLY[argv], "")

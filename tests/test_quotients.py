@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from ncbinom import pbw, quotients, verify
@@ -6,10 +8,10 @@ from ncbinom.pbw import PBWPoly, pbw_rewrite
 from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
                                blumen_binomial_rewrite,
                                blumen_higher_derivatives_vanish,
-                               blumen_normalize, blumen_weyl_compare,
-                               kill_project, lie_ideal_closure, qcomm_bell_closed,
-                               qcomm_bell_full, qcomm_bell_recursive, qcomm_binomial,
-                               qcomm_normalize, weyl_binomial)
+                               blumen_normalize, kill_project, lie_ideal_closure,
+                               normal_order, qcomm_bell_closed, qcomm_bell_full,
+                               qcomm_bell_recursive, qcomm_binomial, qcomm_rule,
+                               weyl_binomial, weyl_monomial)
 from ncbinom.rings import QPoly, q_binomial, q_integer
 
 
@@ -91,6 +93,18 @@ class TestWeyl:
         assert done.returncode == 1, done.stderr.decode()
         assert b"blumen: FAIL" in done.stdout
 
+    def test_matches_the_integer_formula(self):
+        # oracle: d!/(t2! 2^t12 t12! t1!) on E_2^t2 E_12^t12 E_1^t1, read off
+        # independently of the q-multinomial that weyl_binomial evaluates at q=1
+        for d in range(9):
+            want = {}
+            for t12 in range(d // 2 + 1):
+                for t2 in range(d - 2 * t12 + 1):
+                    t1 = d - 2 * t12 - t2
+                    want[weyl_monomial(t2, t12, t1)] = factorial(d) // (
+                        factorial(t2) * 2 ** t12 * factorial(t12) * factorial(t1))
+            assert weyl_binomial(d) == PBWPoly(want, 2)
+
     def test_coefficient_mass(self):
         # setting E_2 = E_1 = 1, E_12 = 0 recovers 2^d
         for d in range(7):
@@ -101,28 +115,30 @@ class TestWeyl:
 
 def _bumped_weyl_binomial(d):
     """weyl_binomial with the coefficient of the killed E_112 at d = 3 raised
-    from 0 to 1.  The q=1 Blumen comparison reads only E_2, E_12 and E_1, so
-    only the killed-expansion check can see this fault."""
+    from 0 to 1.  The half-h formula reads only E_2, E_12 and E_1, so only the
+    killed-expansion check can see this fault."""
     p = weyl_binomial(d)
     return p + PBWPoly.monomial((((1, 1, 2), 1),), 2) if d == 3 else p
 
 
 class TestQComm:
     def test_normalize(self):
-        f, w = qcomm_normalize((3, 1, 2))
-        assert w == (1, 2, 3)
-        assert f == QPoly.q(6)  # swaps cost q^3 twice
-        assert qcomm_normalize(()) == (QPoly.one(), ())
+        got = normal_order({(3, 1, 2): QPoly.one()}, qcomm_rule)
+        assert got == {(1, 2, 3): QPoly.q(6)}  # swaps cost q^3 twice
+        assert normal_order({(): QPoly.one()}, qcomm_rule) == {(): QPoly.one()}
+        # d2 d1 -> q^2 d1 d2 cancels against -q^2 d1 d2; equal words merge
+        got = normal_order({(2, 1): QPoly.one(), (1, 2): -QPoly.q(2),
+                            (3, 1): QPoly.one(), (1, 3): QPoly.one()}, qcomm_rule)
+        assert got == {(1, 3): QPoly((1, 0, 0, 1))}
 
     def test_normalize_confluence(self):
         # cost only depends on the multiset inversion structure
         import itertools
         for perm in itertools.permutations((1, 2, 2, 3)):
-            f, w = qcomm_normalize(perm)
-            assert w == (1, 2, 2, 3)
             inv = sum(a for i, a in enumerate(perm)
                       for b in perm[i + 1:] if a > b)
-            assert f == QPoly.q(inv)
+            got = normal_order({perm: QPoly.one()}, qcomm_rule)
+            assert got == {(1, 2, 2, 3): QPoly.q(inv)}
 
     def test_worked_example_3_2(self):
         # B(3,2) over the d-alphabet: (3)_q d_1 d_2
@@ -224,9 +240,38 @@ class TestBlumen:
         assert b"blumen: FAIL" in done.stdout
         assert b"rewriting at n=4" in done.stdout
 
-    def test_collapses_to_weyl_at_q_one(self):
-        for n in range(7):
-            assert blumen_weyl_compare(n)
-
     def test_higher_derivatives_vanish(self):
-        assert blumen_higher_derivatives_vanish(6)
+        assert blumen_higher_derivatives_vanish()
+
+
+_WRONG_MULTINOMIAL = (
+    "from ncbinom import quotients\n"
+    "from ncbinom.rings import QPoly\n"
+    "right = quotients.qcomm_multinomial\n"
+    "def wrong(ts, t=0):\n"
+    "    c = right(ts, t)\n"
+    "    return c + QPoly.q(1) if len(ts) > 1 and ts[1] else c\n"
+    "quotients.qcomm_multinomial = wrong\n")
+
+
+class TestSharedMultinomial:
+    """The Blumen, Weyl and q-commutative closed forms all read
+    ``qcomm_multinomial``; a fault there (a stray q on every word with a d_2,
+    that is an h) must fail both suites that hold those closed forms."""
+
+    def test_wrong_multinomial_fails_blumen_and_qcomm(self, monkeypatch):
+        # the setattr makes monkeypatch put the right function back afterwards
+        monkeypatch.setattr(quotients, "qcomm_multinomial", quotients.qcomm_multinomial)
+        exec(_WRONG_MULTINOMIAL, {})
+        assert verify.run_suite("blumen", 6) == (
+            False, "Blumen closed form disagrees with rewriting at n=2")
+        assert verify.run_suite("qcomm", 6) == (
+            False, "q-commutative Bell routes disagree at (n=2, k=1)")
+
+    @pytest.mark.parametrize("suite, detail", [
+        ("blumen", b"blumen: FAIL (Blumen closed form disagrees with rewriting at n=2)"),
+        ("qcomm", b"qcomm: FAIL (q-commutative Bell routes disagree at (n=2, k=1))")])
+    def test_wrong_multinomial_under_O(self, verify_under_O, suite, detail):
+        done = verify_under_O(suite, _WRONG_MULTINOMIAL)
+        assert done.returncode == 1, done.stderr.decode()
+        assert detail in done.stdout
