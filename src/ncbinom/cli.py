@@ -40,9 +40,9 @@ class UsageError(Exception):
 # -- expression parser -------------------------------------------------------
 # Grammar (matches the text emitter): expr := term (('+'|'-') term)*
 # term := factor ('*' factor)* ; factor := atom ['^' int]
-# atom := number | E(word) | '(' expr ')'
+# atom := number | E(word) | '(' expr ')' ; word := e | digits | [a,b,...]
 
-_TOKEN = re.compile(r"\s*(?:(E\((?:e|\d*)\))|(\d+/\d+|\d+)|([()+\-*^]))")
+_TOKEN = re.compile(r"\s*(?:(E\((?:e|\d*|\[[\d,]*\])\))|(\d+/\d+|\d+)|([()+\-*^]))")
 
 
 def _tokenize(s: str):
@@ -147,7 +147,10 @@ class _Parser:
 
 
 def parse_expression(s: str, m: int = 2, max_degree: int = None) -> FreePoly:
-    return _Parser(_tokenize(s), m, max_degree).parse()
+    try:
+        return _Parser(_tokenize(s), m, max_degree).parse()
+    except RecursionError:
+        raise UsageError("expression nested too deeply")
 
 
 def _degree(f: FreePoly) -> int:

@@ -5,9 +5,10 @@ q-commutative ordered d-alphabet (d_v d_u = q^v d_u d_v), the Blumen
 rewriting system (xy -> qyx + h, xh -> q^2 hx, hy -> q^2 yh), which is the
 d-alphabet cut off at order 2, and the Weyl-type quotient (only E_2, E_12,
 E_1 survive), which is Blumen at q = 1.  Every closed form reads the one
-q-multinomial ``qcomm_multinomial``, and both rewrite routes run the one
-rewriter ``normal_order``.  Production calls return the closed forms and
-compute each result once; the rewrite routes (``qcomm_bell_recursive``,
+q-multinomial ``qcomm_multinomial``, a product of binomials that never
+divides, and both rewrite routes run the one rewriter ``normal_order``.
+Production calls return the closed forms and compute each result once; the
+rewrite routes (``qcomm_bell_recursive``,
 ``blumen_binomial_rewrite``) are run only by ``verify qcomm`` and ``verify
 blumen``, which compare them explicitly.
 """
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .pbw import PBWPoly, commutator_ls
-from .rings import QPoly, exponent_vectors, q_binomial, q_factorial, qpoly_exact_div
+from .rings import QPoly, exponent_vectors, q_binomial
 from .words import is_lyndon, lyndon_enumerate
 
 
@@ -168,24 +170,19 @@ def qcomm_bell_recursive(n: int, k: int):
     return normal_order(terms, qcomm_rule)
 
 
-@lru_cache(maxsize=None)
-def _qcomm_denominator(ts: tuple) -> QPoly:
-    """prod_i ((i)_q!)^{t_i} (t_i)_{q^i}! for exponents ts = (t_1, t_2, ...)."""
-    den = QPoly.one()
-    for i, t in enumerate(ts, start=1):
-        if t:
-            den = den * q_factorial(i) ** t * q_factorial(t).subs_q_power(i)
-    return den
-
-
-def qcomm_multinomial(ts, t: int = 0) -> QPoly:
-    """(n)_q! / ((t)_q! prod_i ((i)_q!)^{t_i} (t_i)_{q^i}!) with n = t + sum_i i t_i.
-
-    The coefficient of d_1^{t_1} d_2^{t_2} ... x^t in (x+y)^n; every closed
-    form of this module reads it.
+def qcomm_multinomial(ts, t: int = 0, binom=q_binomial):
+    """(n)_q! / ((t)_q! prod_i ((i)_q!)^{t_i} (t_i)_{q^i}!) with n = t + sum_i i t_i,
+    the coefficient of d_1^{t_1} d_2^{t_2} ... x^t in (x+y)^n.  A product of
+    ``binom`` (``q_binomial``, or ``math.comb`` at q = 1) that never divides,
+    as binom(ij, i)_q = (j)_{q^i} binom(ij - 1, i - 1)_q.
     """
-    n = t + sum(i * ti for i, ti in enumerate(ts, start=1))
-    return qpoly_exact_div(q_factorial(n), q_factorial(t) * _qcomm_denominator(tuple(ts)))
+    c, n = binom(t, t), t  # the 1 of binom's ring
+    for i, ti in enumerate(ts, start=1):
+        n += i * ti
+        c *= binom(n, i * ti)
+        for j in range(2, ti + 1):
+            c *= binom(i * j - 1, i - 1)
+    return c
 
 
 def _d_word(ts):
@@ -239,13 +236,13 @@ def blumen_binomial(n: int):
 
     The Blumen algebra is the q-commutative d-alphabet cut off at order 2:
     y = d_1, h = d_2, and y^(k) = 0 for k >= 2.  So its closed form is
-    ``qcomm_multinomial((r, s), t)`` = (n)_q!/((r)_q!(2)_q^s(s)_{q^2}!(t)_q!).
-    ``verify blumen`` compares it with ``blumen_binomial_rewrite``.
+    ``qcomm_multinomial((r, s), t)`` = binom(n, t)_q binom(n - t, r)_q
+    prod_{2 <= j <= s} (2j - 1)_q; ``verify blumen`` checks it by rewriting.
     """
     if n < 0:
         raise ValueError("negative power")
     return {(r, s, t): qcomm_multinomial((r, s), t)
-            for t in range(n + 1) for r, s in exponent_vectors(n - t, (1, 2))}
+            for r, s, t in exponent_vectors(n, (1, 2, 1))}
 
 
 def blumen_binomial_rewrite(n: int):
@@ -286,13 +283,15 @@ _E2, _E12, _E1 = (2,), (1, 2), (1,)
 def weyl_binomial(d: int) -> PBWPoly:
     """(E_1 + E_2)^d in the quotient where only E_2, E_12, E_1 survive.
 
-    The Blumen binomial read at q = 1, with y = E_2, h = E_12, x = E_1: the
-    integer d!/(t2! 2^t12 t12! t1!).  Its agreement with the killed free
-    expansion and with the half-h binomial formula of the Heisenberg-Weyl
-    algebra under h = E_12 is checked by ``verify blumen``, not here.
+    The Blumen binomial at q = 1 in integers, d!/(t2! 2^t12 t12! t1!), with
+    y = E_2, h = E_12, x = E_1.  Its agreement with the killed free expansion
+    and with the half-h binomial formula of the Heisenberg-Weyl algebra under
+    h = E_12 is checked by ``verify blumen``, not here.
     """
-    return PBWPoly({weyl_monomial(r, s, t): c(1)
-                    for (r, s, t), c in blumen_binomial(d).items()}, 2)
+    if d < 0:
+        raise ValueError("negative power")
+    return PBWPoly({weyl_monomial(r, s, t): qcomm_multinomial((r, s), t, comb)
+                    for r, s, t in exponent_vectors(d, (1, 2, 1))}, 2)
 
 
 def weyl_monomial(t2: int, t12: int, t1: int):

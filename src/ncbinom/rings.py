@@ -302,15 +302,6 @@ class QPoly:
             raise ValueError("negative shift")
         return _qpoly([0] * k + list(self.coeffs)) if self.coeffs else self
 
-    def subs_q_power(self, k: int) -> "QPoly":
-        """Substitute q -> q^k."""
-        if not self.coeffs:
-            return QPoly.zero()
-        out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return _qpoly(out)
-
     def __repr__(self):
         return f"QPoly({list(self.coeffs)})"
 

@@ -97,10 +97,9 @@ def binomial_ls(m: int, d: int) -> PBWPoly:
     if d < 0:
         raise ValueError("negative power")
     terms = {}
+    # monomials of different contents differ, so the parts never collide
     for counts in exponent_vectors(d, (1,) * m):
-        part = sh_closed_form(counts, m)
-        for mono, c in part.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
+        terms.update(sh_closed_form(counts, m).terms)
     return PBWPoly(terms, m)
 
 

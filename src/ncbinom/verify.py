@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from . import bell, identities, qsigma, quotients
+from . import bell, identities, qsigma, quotients, shuffle
 from .emit import emit_json
 from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
@@ -37,7 +37,8 @@ def verify_appendix():
 
 
 def verify_theorem_a(max_binary: int = 8, max_ternary: int = 6):
-    """Closed-form coefficients equal brute-force rewriting, two alphabets."""
+    """Closed-form coefficients equal brute-force rewriting, two alphabets;
+    so does the full expansion ``binomial_ls`` at small degree."""
     checked = 0
     for total in range(max_binary + 1):
         for i in range(total + 1):
@@ -51,7 +52,13 @@ def verify_theorem_a(max_binary: int = 8, max_ternary: int = 6):
                 if sh_closed_form(counts, 3) != sh_pbw(counts, 3):
                     return False, f"ternary mismatch at {counts}"
                 checked += 1
-    return True, f"{checked} multidegrees"
+    for m, top in ((2, min(max_binary, 6)), (3, min(max_ternary, 4))):
+        step = FreePoly({(i,): 1 for i in range(1, m + 1)}, m)
+        for d in range(top + 1):
+            if shuffle.binomial_ls(m, d) != pbw_rewrite(step ** d):
+                return False, f"binomial mismatch at m={m}, d={d}"
+            checked += 1
+    return True, f"{checked} multidegrees and powers"
 
 
 def _random_pbw_poly(rng, max_degree, monomials: dict):

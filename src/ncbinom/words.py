@@ -99,6 +99,7 @@ def format_word(w: Word, m: int = 2) -> str:
 def parse_word(s: str, m: int = 2) -> Word:
     if s in ("", "e"):
         return ()
-    if s.startswith("["):
-        return tuple(int(p) for p in s.strip("[]").split(","))
-    return tuple(int(c) for c in s)
+    parts = s[1:-1].split(",") if s[:1] + s[-1:] == "[]" else list(s)
+    if not all(p.isdigit() for p in parts):
+        raise ValueError(f"bad word {s!r}; expected digits or [a,b,...]")
+    return tuple(int(p) for p in parts)

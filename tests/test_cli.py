@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,17 +50,19 @@ class TestExpressionParser:
         assert parse_expression("E(e)") == FreePoly.unit(2)
 
     def test_reads_back_emitted_text(self):
+        # over ten or more letters the text spells words as E([1,10])
         from fractions import Fraction
         rng = random.Random(41)
-        for _ in range(20):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                w = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 4)))
-                c = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
-                if c:
-                    terms[w] = c
-            p = FreePoly(terms, 2)
-            assert parse_expression(str(p)) == p
+        for m in (2, 10):
+            for _ in range(20):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    w = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 4)))
+                    c = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                    if c:
+                        terms[w] = c
+                p = FreePoly(terms, m)
+                assert parse_expression(str(p), m) == p
 
 
 class TestCommands:
@@ -266,12 +272,33 @@ class TestExitCodes:
         ("sh", "--degree", "0,5", "--pbw", "--ring", "GF:5"),
         ("binom", "--degree", "2", "--ring", "GF:3317044064679887385961981"),
         ("binom", "--degree", "2", "--ring", "GF:" + "7" * 5000),
+        ("factorize", "--word", "[1,2"),
+        ("factorize", "--word", "[[2,1]]"),
+        ("quotient", "kill", "--set", "[1,2", "--expr", "(E(1)+E(2))^3"),
+        ("pbw", "--alphabet", "10", "--expr", "E([1,11])"),
+        ("pbw", "--alphabet", "10", "--expr", "E([1,,2])"),
     ])
     def test_domain_errors_are_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("pbw",), ("quotient", "kill", "--set", "12")])
+    def test_deep_nesting_is_a_usage_error(self, command):
+        # a fresh interpreter, so the depth at which recursion gives out is
+        # the command line's own and not the test runner's
+        deep = "(" * 300 + "E(1)" + ")" * 300
+        env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "ncbinom.cli", *command, "--expr", deep],
+                              env=env, capture_output=True, timeout=60)
+        assert b"Traceback" not in done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: expression nested too deeply\n")
+        shallow = "(" * 150 + "E(1)" + ")" * 150
+        done = subprocess.run([sys.executable, "-m", "ncbinom.cli", *command, "--expr", shallow],
+                              env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1*E(1)\n", b"")
 
     @pytest.mark.parametrize("expr, value", [
         ("9" * 4300, 10 ** 4300 - 1),

@@ -8,7 +8,9 @@ The partial ``bell``/``qbell`` entries (``--k``) were recorded from the
 hand-written Bell and q-Bell recursions before they were replaced by reads of
 the SH-hat triangle.  ``quotient blumen`` and ``qcomm-bell`` have text output
 only; their entries were recorded before the quotient closed forms were read
-off one q-multinomial.
+off one q-multinomial.  The ``weyl --d 12`` and ``blumen --n 8`` entries were
+recorded while that q-multinomial was still a quotient of q-factorials, before
+it became a product of Gaussian binomials.
 """
 
 import pytest
@@ -157,6 +159,76 @@ GOLDEN = {
             '[["2", 1], ["1", 2]]}, {"coeff": "3", "factors": [["2", 2], ["1", '
             '1]]}, {"coeff": "1", "factors": [["2", 3]]}]}\n'),
     },
+    ('quotient', 'weyl', '--d', '12', '--max-degree', '12'): {
+        'text': ('1*E(1)^12 + 66*E(12)*E(1)^10 + 1485*E(12)^2*E(1)^8 + '
+            '13860*E(12)^3*E(1)^6 + 51975*E(12)^4*E(1)^4 + 62370*E(12)^5*E(1)^2 '
+            '+ 10395*E(12)^6 + 12*E(2)*E(1)^11 + 660*E(2)*E(12)*E(1)^9 + '
+            '11880*E(2)*E(12)^2*E(1)^7 + 83160*E(2)*E(12)^3*E(1)^5 + '
+            '207900*E(2)*E(12)^4*E(1)^3 + 124740*E(2)*E(12)^5*E(1) + '
+            '66*E(2)^2*E(1)^10 + 2970*E(2)^2*E(12)*E(1)^8 + '
+            '41580*E(2)^2*E(12)^2*E(1)^6 + 207900*E(2)^2*E(12)^3*E(1)^4 + '
+            '311850*E(2)^2*E(12)^4*E(1)^2 + 62370*E(2)^2*E(12)^5 + '
+            '220*E(2)^3*E(1)^9 + 7920*E(2)^3*E(12)*E(1)^7 + '
+            '83160*E(2)^3*E(12)^2*E(1)^5 + 277200*E(2)^3*E(12)^3*E(1)^3 + '
+            '207900*E(2)^3*E(12)^4*E(1) + 495*E(2)^4*E(1)^8 + '
+            '13860*E(2)^4*E(12)*E(1)^6 + 103950*E(2)^4*E(12)^2*E(1)^4 + '
+            '207900*E(2)^4*E(12)^3*E(1)^2 + 51975*E(2)^4*E(12)^4 + '
+            '792*E(2)^5*E(1)^7 + 16632*E(2)^5*E(12)*E(1)^5 + '
+            '83160*E(2)^5*E(12)^2*E(1)^3 + 83160*E(2)^5*E(12)^3*E(1) + '
+            '924*E(2)^6*E(1)^6 + 13860*E(2)^6*E(12)*E(1)^4 + '
+            '41580*E(2)^6*E(12)^2*E(1)^2 + 13860*E(2)^6*E(12)^3 + '
+            '792*E(2)^7*E(1)^5 + 7920*E(2)^7*E(12)*E(1)^3 + '
+            '11880*E(2)^7*E(12)^2*E(1) + 495*E(2)^8*E(1)^4 + '
+            '2970*E(2)^8*E(12)*E(1)^2 + 1485*E(2)^8*E(12)^2 + 220*E(2)^9*E(1)^3 '
+            '+ 660*E(2)^9*E(12)*E(1) + 66*E(2)^10*E(1)^2 + 66*E(2)^10*E(12) + '
+            '12*E(2)^11*E(1) + 1*E(2)^12\n'),
+        'json': ('{"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": [{"coeff": '
+            '"1", "factors": [["1", 12]]}, {"coeff": "66", "factors": [["12", '
+            '1], ["1", 10]]}, {"coeff": "1485", "factors": [["12", 2], ["1", '
+            '8]]}, {"coeff": "13860", "factors": [["12", 3], ["1", 6]]}, '
+            '{"coeff": "51975", "factors": [["12", 4], ["1", 4]]}, {"coeff": '
+            '"62370", "factors": [["12", 5], ["1", 2]]}, {"coeff": "10395", '
+            '"factors": [["12", 6]]}, {"coeff": "12", "factors": [["2", 1], '
+            '["1", 11]]}, {"coeff": "660", "factors": [["2", 1], ["12", 1], '
+            '["1", 9]]}, {"coeff": "11880", "factors": [["2", 1], ["12", 2], '
+            '["1", 7]]}, {"coeff": "83160", "factors": [["2", 1], ["12", 3], '
+            '["1", 5]]}, {"coeff": "207900", "factors": [["2", 1], ["12", 4], '
+            '["1", 3]]}, {"coeff": "124740", "factors": [["2", 1], ["12", 5], '
+            '["1", 1]]}, {"coeff": "66", "factors": [["2", 2], ["1", 10]]}, '
+            '{"coeff": "2970", "factors": [["2", 2], ["12", 1], ["1", 8]]}, '
+            '{"coeff": "41580", "factors": [["2", 2], ["12", 2], ["1", 6]]}, '
+            '{"coeff": "207900", "factors": [["2", 2], ["12", 3], ["1", 4]]}, '
+            '{"coeff": "311850", "factors": [["2", 2], ["12", 4], ["1", 2]]}, '
+            '{"coeff": "62370", "factors": [["2", 2], ["12", 5]]}, {"coeff": '
+            '"220", "factors": [["2", 3], ["1", 9]]}, {"coeff": "7920", '
+            '"factors": [["2", 3], ["12", 1], ["1", 7]]}, {"coeff": "83160", '
+            '"factors": [["2", 3], ["12", 2], ["1", 5]]}, {"coeff": "277200", '
+            '"factors": [["2", 3], ["12", 3], ["1", 3]]}, {"coeff": "207900", '
+            '"factors": [["2", 3], ["12", 4], ["1", 1]]}, {"coeff": "495", '
+            '"factors": [["2", 4], ["1", 8]]}, {"coeff": "13860", "factors": '
+            '[["2", 4], ["12", 1], ["1", 6]]}, {"coeff": "103950", "factors": '
+            '[["2", 4], ["12", 2], ["1", 4]]}, {"coeff": "207900", "factors": '
+            '[["2", 4], ["12", 3], ["1", 2]]}, {"coeff": "51975", "factors": '
+            '[["2", 4], ["12", 4]]}, {"coeff": "792", "factors": [["2", 5], '
+            '["1", 7]]}, {"coeff": "16632", "factors": [["2", 5], ["12", 1], '
+            '["1", 5]]}, {"coeff": "83160", "factors": [["2", 5], ["12", 2], '
+            '["1", 3]]}, {"coeff": "83160", "factors": [["2", 5], ["12", 3], '
+            '["1", 1]]}, {"coeff": "924", "factors": [["2", 6], ["1", 6]]}, '
+            '{"coeff": "13860", "factors": [["2", 6], ["12", 1], ["1", 4]]}, '
+            '{"coeff": "41580", "factors": [["2", 6], ["12", 2], ["1", 2]]}, '
+            '{"coeff": "13860", "factors": [["2", 6], ["12", 3]]}, {"coeff": '
+            '"792", "factors": [["2", 7], ["1", 5]]}, {"coeff": "7920", '
+            '"factors": [["2", 7], ["12", 1], ["1", 3]]}, {"coeff": "11880", '
+            '"factors": [["2", 7], ["12", 2], ["1", 1]]}, {"coeff": "495", '
+            '"factors": [["2", 8], ["1", 4]]}, {"coeff": "2970", "factors": '
+            '[["2", 8], ["12", 1], ["1", 2]]}, {"coeff": "1485", "factors": '
+            '[["2", 8], ["12", 2]]}, {"coeff": "220", "factors": [["2", 9], '
+            '["1", 3]]}, {"coeff": "660", "factors": [["2", 9], ["12", 1], '
+            '["1", 1]]}, {"coeff": "66", "factors": [["2", 10], ["1", 2]]}, '
+            '{"coeff": "66", "factors": [["2", 10], ["12", 1]]}, {"coeff": '
+            '"12", "factors": [["2", 11], ["1", 1]]}, {"coeff": "1", "factors": '
+            '[["2", 12]]}]}\n'),
+    },
 }
 
 
@@ -181,6 +253,72 @@ TEXT_ONLY = {
     ('quotient', 'qcomm-bell', '--n', '5', '--k', '2'): (
         'd1 d4: 1 + q + q^2 + q^3 + q^4\n'
         'd2 d3: 1 + q + 2*q^2 + 2*q^3 + 2*q^4 + q^5 + q^6\n'),
+    ('quotient', 'blumen', '--n', '8'): (
+        'y^0 h^0 x^8: 1\n'
+        'y^0 h^1 x^6: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6 + 3*q^7 + '
+        '3*q^8 + 2*q^9 + 2*q^10 + q^11 + q^12\n'
+        'y^0 h^2 x^4: 1 + 2*q + 4*q^2 + 6*q^3 + 10*q^4 + 13*q^5 + 17*q^6 + '
+        '19*q^7 + 22*q^8 + 22*q^9 + 22*q^10 + 19*q^11 + 17*q^12 + 13*q^13 + '
+        '10*q^14 + 6*q^15 + 4*q^16 + 2*q^17 + q^18\n'
+        'y^0 h^3 x^2: 1 + 3*q + 7*q^2 + 12*q^3 + 19*q^4 + 26*q^5 + 34*q^6 + '
+        '40*q^7 + 45*q^8 + 46*q^9 + 45*q^10 + 40*q^11 + 34*q^12 + 26*q^13 + '
+        '19*q^14 + 12*q^15 + 7*q^16 + 3*q^17 + q^18\n'
+        'y^0 h^4 x^0: 1 + 3*q + 6*q^2 + 9*q^3 + 12*q^4 + 14*q^5 + 15*q^6 + '
+        '14*q^7 + 12*q^8 + 9*q^9 + 6*q^10 + 3*q^11 + q^12\n'
+        'y^1 h^0 x^7: 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7\n'
+        'y^1 h^1 x^5: 1 + 2*q + 4*q^2 + 6*q^3 + 9*q^4 + 12*q^5 + 15*q^6 + '
+        '17*q^7 + 18*q^8 + 18*q^9 + 17*q^10 + 15*q^11 + 12*q^12 + 9*q^13 + '
+        '6*q^14 + 4*q^15 + 2*q^16 + q^17\n'
+        'y^1 h^2 x^3: 1 + 3*q + 7*q^2 + 13*q^3 + 22*q^4 + 33*q^5 + 46*q^6 + '
+        '59*q^7 + 71*q^8 + 80*q^9 + 85*q^10 + 85*q^11 + 80*q^12 + 71*q^13 + '
+        '59*q^14 + 46*q^15 + 33*q^16 + 22*q^17 + 13*q^18 + 7*q^19 + 3*q^20 + '
+        'q^21\n'
+        'y^1 h^3 x^1: 1 + 4*q + 10*q^2 + 19*q^3 + 31*q^4 + 45*q^5 + 60*q^6 + '
+        '74*q^7 + 85*q^8 + 91*q^9 + 91*q^10 + 85*q^11 + 74*q^12 + 60*q^13 + '
+        '45*q^14 + 31*q^15 + 19*q^16 + 10*q^17 + 4*q^18 + q^19\n'
+        'y^2 h^0 x^6: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6 + 3*q^7 + '
+        '3*q^8 + 2*q^9 + 2*q^10 + q^11 + q^12\n'
+        'y^2 h^1 x^4: 1 + 2*q + 5*q^2 + 8*q^3 + 14*q^4 + 19*q^5 + 27*q^6 + '
+        '32*q^7 + 39*q^8 + 41*q^9 + 44*q^10 + 41*q^11 + 39*q^12 + 32*q^13 + '
+        '27*q^14 + 19*q^15 + 14*q^16 + 8*q^17 + 5*q^18 + 2*q^19 + q^20\n'
+        'y^2 h^2 x^2: 1 + 3*q + 8*q^2 + 15*q^3 + 27*q^4 + 41*q^5 + 60*q^6 + '
+        '78*q^7 + 98*q^8 + 112*q^9 + 124*q^10 + 126*q^11 + 124*q^12 + 112*q^13 '
+        '+ 98*q^14 + 78*q^15 + 60*q^16 + 41*q^17 + 27*q^18 + 15*q^19 + 8*q^20 + '
+        '3*q^21 + q^22\n'
+        'y^2 h^3 x^0: 1 + 3*q + 7*q^2 + 12*q^3 + 19*q^4 + 26*q^5 + 34*q^6 + '
+        '40*q^7 + 45*q^8 + 46*q^9 + 45*q^10 + 40*q^11 + 34*q^12 + 26*q^13 + '
+        '19*q^14 + 12*q^15 + 7*q^16 + 3*q^17 + q^18\n'
+        'y^3 h^0 x^5: 1 + q + 2*q^2 + 3*q^3 + 4*q^4 + 5*q^5 + 6*q^6 + 6*q^7 + '
+        '6*q^8 + 6*q^9 + 5*q^10 + 4*q^11 + 3*q^12 + 2*q^13 + q^14 + q^15\n'
+        'y^3 h^1 x^3: 1 + 2*q + 5*q^2 + 9*q^3 + 15*q^4 + 22*q^5 + 31*q^6 + '
+        '39*q^7 + 47*q^8 + 53*q^9 + 56*q^10 + 56*q^11 + 53*q^12 + 47*q^13 + '
+        '39*q^14 + 31*q^15 + 22*q^16 + 15*q^17 + 9*q^18 + 5*q^19 + 2*q^20 + '
+        'q^21\n'
+        'y^3 h^2 x^1: 1 + 3*q + 7*q^2 + 13*q^3 + 22*q^4 + 33*q^5 + 46*q^6 + '
+        '59*q^7 + 71*q^8 + 80*q^9 + 85*q^10 + 85*q^11 + 80*q^12 + 71*q^13 + '
+        '59*q^14 + 46*q^15 + 33*q^16 + 22*q^17 + 13*q^18 + 7*q^19 + 3*q^20 + '
+        'q^21\n'
+        'y^4 h^0 x^4: 1 + q + 2*q^2 + 3*q^3 + 5*q^4 + 5*q^5 + 7*q^6 + 7*q^7 + '
+        '8*q^8 + 7*q^9 + 7*q^10 + 5*q^11 + 5*q^12 + 3*q^13 + 2*q^14 + q^15 + '
+        'q^16\n'
+        'y^4 h^1 x^2: 1 + 2*q + 5*q^2 + 8*q^3 + 14*q^4 + 19*q^5 + 27*q^6 + '
+        '32*q^7 + 39*q^8 + 41*q^9 + 44*q^10 + 41*q^11 + 39*q^12 + 32*q^13 + '
+        '27*q^14 + 19*q^15 + 14*q^16 + 8*q^17 + 5*q^18 + 2*q^19 + q^20\n'
+        'y^4 h^2 x^0: 1 + 2*q + 4*q^2 + 6*q^3 + 10*q^4 + 13*q^5 + 17*q^6 + '
+        '19*q^7 + 22*q^8 + 22*q^9 + 22*q^10 + 19*q^11 + 17*q^12 + 13*q^13 + '
+        '10*q^14 + 6*q^15 + 4*q^16 + 2*q^17 + q^18\n'
+        'y^5 h^0 x^3: 1 + q + 2*q^2 + 3*q^3 + 4*q^4 + 5*q^5 + 6*q^6 + 6*q^7 + '
+        '6*q^8 + 6*q^9 + 5*q^10 + 4*q^11 + 3*q^12 + 2*q^13 + q^14 + q^15\n'
+        'y^5 h^1 x^1: 1 + 2*q + 4*q^2 + 6*q^3 + 9*q^4 + 12*q^5 + 15*q^6 + '
+        '17*q^7 + 18*q^8 + 18*q^9 + 17*q^10 + 15*q^11 + 12*q^12 + 9*q^13 + '
+        '6*q^14 + 4*q^15 + 2*q^16 + q^17\n'
+        'y^6 h^0 x^2: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6 + 3*q^7 + '
+        '3*q^8 + 2*q^9 + 2*q^10 + q^11 + q^12\n'
+        'y^6 h^1 x^0: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 3*q^5 + 4*q^6 + 3*q^7 + '
+        '3*q^8 + 2*q^9 + 2*q^10 + q^11 + q^12\n'
+        'y^7 h^0 x^1: 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7\n'
+        'y^8 h^0 x^0: 1\n'
+    ),
 }
 
 

@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -10,9 +10,11 @@ from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
                                blumen_higher_derivatives_vanish,
                                blumen_normalize, kill_project, lie_ideal_closure,
                                normal_order, qcomm_bell_closed, qcomm_bell_full,
-                               qcomm_bell_recursive, qcomm_binomial, qcomm_rule,
-                               weyl_binomial, weyl_monomial)
-from ncbinom.rings import QPoly, q_binomial, q_integer
+                               qcomm_bell_recursive, qcomm_binomial,
+                               qcomm_multinomial, qcomm_rule, weyl_binomial,
+                               weyl_monomial)
+from ncbinom.rings import (QPoly, exponent_vectors, q_binomial, q_factorial,
+                           q_integer, qpoly_exact_div)
 
 
 class TestKillProject:
@@ -95,8 +97,9 @@ class TestWeyl:
 
     def test_matches_the_integer_formula(self):
         # oracle: d!/(t2! 2^t12 t12! t1!) on E_2^t2 E_12^t12 E_1^t1, read off
-        # independently of the q-multinomial that weyl_binomial evaluates at q=1
-        for d in range(9):
+        # independently of the product of binomials that weyl_binomial takes
+        # in integers
+        for d in range(33):
             want = {}
             for t12 in range(d // 2 + 1):
                 for t2 in range(d - 2 * t12 + 1):
@@ -248,16 +251,41 @@ _WRONG_MULTINOMIAL = (
     "from ncbinom import quotients\n"
     "from ncbinom.rings import QPoly\n"
     "right = quotients.qcomm_multinomial\n"
-    "def wrong(ts, t=0):\n"
-    "    c = right(ts, t)\n"
+    "def wrong(ts, t=0, *binom):\n"
+    "    c = right(ts, t, *binom)\n"
     "    return c + QPoly.q(1) if len(ts) > 1 and ts[1] else c\n"
     "quotients.qcomm_multinomial = wrong\n")
+
+
+def _quotient_multinomial(ts, t=0):
+    """The q-multinomial as a quotient of q-factorials, (n)_q! over
+    (t)_q! prod_i ((i)_q!)^{t_i} (t_i)_{q^i}!, with (j)_{q^i} spelled out as
+    1 + q^i + ... + q^{i(j-1)}."""
+    n = t + sum(i * ti for i, ti in enumerate(ts, start=1))
+    den = q_factorial(t)
+    for i, ti in enumerate(ts, start=1):
+        for j in range(1, ti + 1):
+            den = den * q_factorial(i) * QPoly([int(k % i == 0) for k in range(i * (j - 1) + 1)])
+    return qpoly_exact_div(q_factorial(n), den)
 
 
 class TestSharedMultinomial:
     """The Blumen, Weyl and q-commutative closed forms all read
     ``qcomm_multinomial``; a fault there (a stray q on every word with a d_2,
     that is an h) must fail both suites that hold those closed forms."""
+
+    def test_product_of_binomials_equals_the_quotient(self):
+        # every exponent vector with n <= 12, over Z[q] and at q = 1
+        checked = 0
+        for n in range(13):
+            for t in range(n + 1):
+                for ts in exponent_vectors(n - t, range(1, n - t + 1)):
+                    want = _quotient_multinomial(ts, t)
+                    got = qcomm_multinomial(ts, t)
+                    assert got.coeffs == want.coeffs, (ts, t)
+                    assert qcomm_multinomial(ts, t, comb) == want(1), (ts, t)
+                    checked += 1
+        assert checked == 890
 
     def test_wrong_multinomial_fails_blumen_and_qcomm(self, monkeypatch):
         # the setattr makes monkeypatch put the right function back afterwards

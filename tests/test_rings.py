@@ -112,9 +112,6 @@ class TestQPoly:
             with pytest.raises(TypeError):
                 QPoly((1, 1))(q)
 
-    def test_subs_q_power(self):
-        assert q_integer(3).subs_q_power(2) == QPoly((1, 0, 1, 0, 1))
-
     def test_zero_normalization(self):
         assert not QPoly((0, 0))
         assert QPoly((1, 0)).coeffs == (1,)
@@ -230,7 +227,7 @@ class TestIntegerCoefficients:
         q = QPoly.q()
         a, b = QPoly((3, -1, 2)), QPoly((1, 5))
         for p in (a + b, a - b, a * b, b ** 5, 2 * a, a + 1, 1 - a, -a,
-                  a.subs_q_power(3), q_binomial(9, 4), q_factorial(7), cyclotomic(12),
+                  q_binomial(9, 4), q_factorial(7), cyclotomic(12),
                   qpoly_exact_div(q_factorial(8), q_factorial(3)),
                   qpoly_exact_div(a * b * (q + 7), b), QPoly.const(Fraction(6, 3))):
             assert p and _all_int(p), p.coeffs

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ncbinom import shuffle
+from ncbinom import shuffle, verify
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import (PBWPoly, enumerate_pbw_monomials, monomial_from_word,
                          pbw_expand)
@@ -126,6 +126,27 @@ class TestBinomialLS:
             binomial_ls(1, 3)
         with pytest.raises(ValueError):
             binomial_ls(2, -1)
+
+
+_NEGATED_BINOMIAL = (
+    "from ncbinom import shuffle\n"
+    "right = shuffle.binomial_ls\n"
+    "shuffle.binomial_ls = lambda m, d: right(m, d).scale(-1)\n")
+
+
+class TestVerifyReachesBinomialLS:
+    """``verify theorem-a`` compares ``binomial_ls`` with the rewritten power,
+    so a sign flip of every coefficient fails it."""
+
+    def test_negated_binomial_fails_theorem_a(self, monkeypatch):
+        monkeypatch.setattr(shuffle, "binomial_ls", shuffle.binomial_ls)
+        exec(_NEGATED_BINOMIAL, {})
+        assert verify.run_suite("theorem-a", 6) == (False, "binomial mismatch at m=2, d=0")
+
+    def test_negated_binomial_fails_theorem_a_under_O(self, verify_under_O):
+        done = verify_under_O("theorem-a", _NEGATED_BINOMIAL)
+        assert done.returncode == 1, done.stderr.decode()
+        assert b"theorem-a: FAIL (binomial mismatch at m=2, d=0)" in done.stdout
 
 
 class TestCharP:

@@ -80,9 +80,7 @@ class TestQPoly:
             a, b = rand_qpoly(rng), rand_qpoly(rng)
             for got, want in [(a + b, ref_add(a, b)), (a - b, ref_add(a, b, -1)),
                               (a - a, QPoly()), (-a, ref_add(QPoly(), a, -1)),
-                              (a * b, ref_mul(a, b)), (a ** 2, ref_mul(a, a)),
-                              (a.subs_q_power(2), QPoly(
-                                  [c for x in a.coeffs for c in (x, 0)]))]:
+                              (a * b, ref_mul(a, b)), (a ** 2, ref_mul(a, a))]:
                 assert got.coeffs == want.coeffs
                 assert_stored_form(got)
             if b:

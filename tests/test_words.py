@@ -97,3 +97,10 @@ class TestMisc:
     @given(words)
     def test_format_parse_roundtrip(self, w):
         assert parse_word(format_word(w, 2), 2) == w
+
+    def test_parse_reads_only_whole_brackets(self):
+        assert parse_word("[1,10]", 10) == (1, 10)
+        assert parse_word("[7]", 10) == (7,)
+        for bad in ("[1,2", "[[2,1]]", "1,2]", "[]", "[1,,2]", "[1, 2]", "[1,2]]"):
+            with pytest.raises(ValueError):
+                parse_word(bad, 10)
