@@ -349,7 +349,8 @@ def cmd_quotient(args):
             print("0")
         return 0
     m = 2 if args.alphabet is None else args.alphabet
-    kill = {_word_arg(w, m) for w in args.set.split(",")}
+    # split at the commas between words, not those inside a word's [a,b,...]
+    kill = {_word_arg(w, m) for w in re.split(r",(?![^\[]*\])", args.set)}
     for w in kill:
         if not is_lyndon(w):
             raise UsageError(f"{format_word(w, m)} is not a Lyndon word")

@@ -19,10 +19,14 @@ codes, each shifted by a fixed power of m+1.  ``_factor_parts`` folds the
 letters into one base code and the multi-word factors but the largest into
 a short list of (base, coefficient) pairs; ``pbw_rewrite`` streams the
 largest factor against those pairs straight into the component, and
-``_expansion_codes`` collects the same product into a dict.  So of the
-elimination only the basis elements are cached, never an expansion.
-``ls_basis_element`` and ``pbw_expand_monomial`` decode the codes into
-``FreePoly`` and cache that for their other callers.
+``_expansion_codes`` collects the same product into a dict.  The
+elimination caches no expansion, and only the basis elements it reads
+again.  A Lyndon word of a component's full length n lies in that component
+only and is eliminated once, so its E_alpha is built from the cached
+children and not stored: a rewrite of (x+y)^10 caches the 127 binary basis
+elements of length <= 9 and none of the 99 of length 10.
+``ls_basis_element`` and ``pbw_expand_monomial`` keep every E_alpha cached,
+decode the codes into ``FreePoly`` and cache that for their other callers.
 """
 
 from __future__ import annotations
@@ -243,6 +247,12 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     cancel.  The codes wait in a heap, so each elimination takes the least
     one left.  A least word that keeps a coefficient, or a word that comes in
     at or below an eliminated one, raises ``ArithmeticError``.
+
+    Only what is read again is kept.  A Lyndon word of length n is
+    eliminated once, so its basis element is built uncached by
+    ``_basis_codes.__wrapped__``; shorter factors recur and stay cached.
+    Equal (word, exponent) factors of the result are one object, and the
+    input is dropped once its words are coded.
     """
     denom = 1
     for c in f.terms.values():
@@ -256,7 +266,9 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
         k = _code(w, m)
         # c * denom exactly, without Fraction arithmetic (an int is its own numerator)
         components.setdefault(multidegree(w, m), {})[k] = c.numerator * (denom // c.denominator)
+    del f  # coded into the components; nothing reads it again
     out = {}
+    shared = {}  # one object per (word, exponent) factor of the result
     for counts, comp in components.items():
         n = sum(counts)
         get = comp.get
@@ -274,9 +286,12 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
                     f"expansion of {mono} leaves the word {w} at or below its least word "
                     f"{_decode(last, n, m)}; the PBW basis is not triangular")
             last = k
-            mono = monomial_from_word(w)
-            out[mono] = out.get(mono, 0) + c
-            pairs, shift, codes = _factor_parts(mono, m)
+            mono = tuple([shared.setdefault(factor, factor) for factor in monomial_from_word(w)])
+            out[mono] = c
+            if len(mono) == 1 and mono[0][1] == 1:  # w is Lyndon: read once, not cached
+                pairs, shift, codes = ((0, 1),), 1, _basis_codes.__wrapped__(w, m)
+            else:
+                pairs, shift, codes = _factor_parts(mono, m)
             for b, d in pairs:
                 d *= c
                 for u, a in codes.items():
@@ -297,7 +312,8 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
                     "the PBW basis is not triangular")
     if denom != 1:
         out = {mono: Fraction(c, denom) for mono, c in out.items()}
-    return PBWPoly(out, m)
+    # every monomial is eliminated once, with the nonzero coefficient it had
+    return PBWPoly._make(out, m)
 
 
 def enumerate_pbw_monomials(m: int, counts):

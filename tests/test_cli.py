@@ -105,6 +105,13 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "1*E(12) + 1*E(2)*E(1)"
 
+    def test_pbw_of_a_product_with_colliding_words(self, capsys):
+        # 1*22 = 12*2: the general product must merge the two into 2*E(122)
+        code, out, err = run(capsys, "pbw", "--expr", "(E(1)+E(12))*(E(2)+E(22))")
+        assert (code, err) == (0, "")
+        assert run(capsys, "pbw", "--expr", "E(12) + 2*E(122) + E(1222)") == (0, out, "")
+        assert out.startswith("1*E(12) + 2*E(122) + 1*E(1222) + ")
+
     def test_bell(self, capsys):
         code, out, _ = run(capsys, "bell", "--n", "3", "--k", "2")
         assert code == 0
@@ -401,6 +408,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "quotient", "kill", "--set", "13",
                              "--expr", "E(13) - E(31) + E(2)", "--alphabet", "3")
         assert (code, out, err) == (0, "1*E(2)\n", "")
+
+    def test_quotient_kill_set_splits_outside_brackets(self, capsys):
+        code, out, err = run(capsys, "quotient", "kill", "--alphabet", "10",
+                             "--set", "[1,10]", "--expr", "E([1,10])")
+        assert (code, out, err) == (0, "1*E([10])*E([1])\n", "")
+        code, out, err = run(capsys, "quotient", "kill", "--alphabet", "10",
+                             "--set", "12,[1,10]", "--expr", "E(12) + E([1,10])")
+        assert (code, out, err) == (0, "1*E([2])*E([1]) + 1*E([10])*E([1])\n", "")
+
+    @pytest.mark.parametrize("bad", ["[1,10", "1,10]", "[1,[2]]", "1,,2"])
+    def test_quotient_kill_malformed_set_is_one_error(self, capsys, bad):
+        code, out, err = run(capsys, "quotient", "kill", "--alphabet", "10",
+                             "--set", bad, "--expr", "E([1,10])")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_ring_q_accepted_everywhere(self, capsys):
         code, out, _ = run(capsys, "bell", "--n", "2", "--k", "1", "--ring", "Q")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -57,6 +58,46 @@ class TestArithmetic:
         fg = f * g
         for w, c in fg.terms.items():
             assert c != 0
+
+
+class TestProductMerge:
+    """The general product, where word products of different term pairs
+    collide, against sums of one-term products, whose keys never collide."""
+
+    @staticmethod
+    def _by_terms(f, g):
+        out = FreePoly.zero(f.m)
+        for u, a in f.terms.items():
+            out = out + FreePoly.word(u, f.m, a) * g
+        return out
+
+    def test_colliding_words_merge(self):
+        # 1*22 = 12*2 = 122, so the product must add both contributions
+        f = FreePoly.word((1,)) + FreePoly.word((1, 2))
+        g = FreePoly.word((2,)) + FreePoly.word((2, 2))
+        fg = f * g
+        assert fg.terms == {(1, 2): 1, (1, 2, 2): 2, (1, 2, 2, 2): 1}
+        assert fg == self._by_terms(f, g)
+
+    def test_cancelling_words_are_dropped(self):
+        f = FreePoly.word((1,)) - FreePoly.word((1, 2))
+        g = FreePoly.word((2,)) + FreePoly.word((2, 2))
+        assert (f * g).terms == {(1, 2): 1, (1, 2, 2, 2): -1}
+
+    def test_random_non_homogeneous_factors(self):
+        rng = random.Random(2026)
+        collided = 0
+        for _ in range(200):
+            m = rng.choice((2, 3))
+            f, g = (FreePoly({tuple(rng.randint(1, m) for _ in range(rng.randint(0, 3))):
+                              Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(2, 5))}, m) for _ in range(2))
+            fg = f * g
+            assert fg == self._by_terms(f, g)
+            assert all(fg.terms.values())
+            words = {u + v for u in f.terms for v in g.terms}
+            collided += len(words) < len(f.terms) * len(g.terms)
+        assert collided > 25  # the merge runs in a good share of the draws
 
 
 class TestCommutator:

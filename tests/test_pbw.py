@@ -324,6 +324,32 @@ class TestCodedEngine:
         assert filled.keys() == {"ncbinom.pbw._basis_codes"}, filled
         assert filled["ncbinom.pbw._basis_codes"] <= len(lyndon_enumerate(2, 8)) == 71
 
+    def test_rewrite_leaves_top_degree_basis_elements_uncached(self):
+        # a Lyndon word of the input's full degree is eliminated once, so
+        # only the words of length <= 9 that serve as children stay cached
+        pbw._basis_codes.cache_clear()
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        pbw_rewrite((x + y) ** 10)
+        assert pbw._basis_codes.cache_info().currsize == len(lyndon_enumerate(2, 9)) == 127
+        top = [w for w in lyndon_enumerate(2, 10) if len(w) == 10]
+        assert len(top) == 99
+        for alpha in top:
+            misses = pbw._basis_codes.cache_info().misses
+            pbw._basis_codes(alpha, 2)
+            assert pbw._basis_codes.cache_info().misses == misses + 1, alpha
+        pbw._basis_codes.cache_clear()
+
+    def test_rewrite_shares_equal_factors(self):
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        f = (x + y) ** 8 + (x - y) ** 5 * (x + y) + x * (y + x)
+        got = pbw_rewrite(f)
+        assert _expand_by_brackets(got) == f
+        first = {}
+        for mono in got.terms:
+            for factor in mono:
+                assert first.setdefault(factor, factor) is factor, factor
+        assert any(len(mono) > 1 for mono in got.terms)
+
     def test_rewrite_roundtrip_with_two_digit_letters(self):
         # m = 12: letters 10..12 are two decimal digits, the codes are base 13
         rng = random.Random(17)
@@ -473,9 +499,15 @@ class TestCommutatorLS:
 # E_12 = 2*12 - 21 in base-3 codes (12 -> 5, 21 -> 7)
 _NON_UNIT_E12 = {5: 2, 7: -1}
 
+# Each plant below replaces ``pbw._basis_codes``.  The rewrite builds a
+# Lyndon word of a component's full length by ``_basis_codes.__wrapped__``,
+# uncached; the first two plants set ``__wrapped__`` to themselves, so the
+# planted E_alpha is what that word reads too.
+
 _PLANT_NON_UNIT_E12 = (
     "orig = pbw._basis_codes\n"
-    f"pbw._basis_codes = lambda alpha, m: {_NON_UNIT_E12!r} if alpha == (1, 2) else orig(alpha, m)\n")
+    f"pbw._basis_codes = lambda alpha, m: {_NON_UNIT_E12!r} if alpha == (1, 2) else orig(alpha, m)\n"
+    "pbw._basis_codes.__wrapped__ = pbw._basis_codes\n")
 
 _PLANT_LOW_WORD_E11212 = (
     "orig = pbw._basis_codes\n"
@@ -485,7 +517,27 @@ _PLANT_LOW_WORD_E11212 = (
     "        codes = dict(codes)\n"
     "        codes[pbw._code((1, 1, 1, 2, 2), 2)] = 1\n"
     "    return codes\n"
+    "planted.__wrapped__ = planted\n"
     "pbw._basis_codes = planted\n")
+
+
+def _plant_child(child, codes, top):
+    """A fault in a child of ``top`` only: ``top`` itself is built by the
+    real uncached build, and asking the cache for it exits with code 5."""
+    return ("orig = pbw._basis_codes\n"
+            "def planted(alpha, m):\n"
+            f"    if alpha == {top!r}:\n"
+            "        raise SystemExit(5)\n"
+            f"    return {codes!r} if alpha == {child!r} else orig(alpha, m)\n"
+            "planted.__wrapped__ = orig.__wrapped__\n"
+            "pbw._basis_codes = planted\n")
+
+
+# E_112 = [E_1, E_12] read with E_12 = 2*12 - 21: its least word 112 has coefficient 2
+_PLANT_NON_UNIT_CHILD = _plant_child((1, 2), _NON_UNIT_E12, (1, 1, 2))
+# E_11212 = [E_112, E_12] read with E_112 = 112 - 2*121 + 211 + 111 (codes
+# 14, 16, 22, 13): it gains 11112, below its least word 11212
+_PLANT_LOW_CHILD = _plant_child((1, 1, 2), {14: 1, 16: -2, 22: 1, 13: 1}, (1, 1, 2, 1, 2))
 
 
 def _rewrite_with_planted_basis(flags, plant, word):
@@ -514,8 +566,11 @@ class TestErrors:
     def test_non_triangular_expansion_raises(self, monkeypatch):
         # E_12 planted as 2*12 - 21: its least word no longer has coefficient 1
         orig = pbw._basis_codes
-        monkeypatch.setattr(pbw, "_basis_codes",
-                            lambda alpha, m: _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m))
+
+        def planted(alpha, m):
+            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m)
+        planted.__wrapped__ = planted
+        monkeypatch.setattr(pbw, "_basis_codes", planted)
         with pytest.raises(ArithmeticError, match=r"\(1, 2\)"):
             pbw_rewrite(FreePoly.word((1, 2)))
 
@@ -528,6 +583,16 @@ class TestErrors:
         # E_11212 planted with an extra word 11122 below its least word: the
         # elimination used to swap the two words back and forth for ever
         done = _rewrite_with_planted_basis(flags, _PLANT_LOW_WORD_E11212, (1, 1, 2, 1, 2))
+        assert done.returncode == 3, done.stderr.decode()
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    @pytest.mark.parametrize("plant, word", [(_PLANT_NON_UNIT_CHILD, (1, 1, 2)),
+                                             (_PLANT_LOW_CHILD, (1, 1, 2, 1, 2))],
+                             ids=["non-unit-child", "low-word-child"])
+    def test_uncached_top_word_keeps_both_checks(self, flags, plant, word):
+        # the rewritten word is Lyndon, so its E_alpha is built uncached from
+        # the planted child, and each triangularity check must still fire
+        done = _rewrite_with_planted_basis(flags, plant, word)
         assert done.returncode == 3, done.stderr.decode()
 
     def test_equality_is_by_class(self):

@@ -78,6 +78,15 @@ class TestEnumeration:
         counts = [sum(1 for w in lyndons if len(w) == n) for n in range(1, 9)]
         assert counts == [2, 1, 2, 3, 6, 9, 18, 30]
 
+    def test_one_letter_alphabet_has_one_lyndon_word(self):
+        for n in range(1, 6):
+            assert lyndon_enumerate(1, n) == [(1,)]
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (2, 0)])
+    def test_empty_alphabet_or_length_is_refused(self, m, n):
+        with pytest.raises(ValueError):
+            lyndon_enumerate(m, n)
+
     def test_sorted_lexicographically(self):
         out = lyndon_enumerate(3, 4)
         assert out == sorted(out)
