@@ -199,12 +199,9 @@ def _parse_ring(spec: str, modular: bool):
 
 def _word_arg(s: str, m: int):
     try:
-        w = parse_word(s, m)
-    except ValueError:
-        raise UsageError(f"bad word {s!r}")
-    if not all(1 <= x <= m for x in w):
-        raise UsageError(f"word {s!r} has a letter outside the alphabet 1..{m}")
-    return w
+        return parse_word(s, m)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 # -- command implementations -------------------------------------------------

@@ -245,7 +245,7 @@ def _weyl_mismatch(max_d: int):
     """First d <= max_d where weyl_binomial(d) disagrees with the killed free
     expansion of (E_1 + E_2)^d or with the half-h binomial formula, else None."""
     gens = [(1, 1, 2), (1, 2, 2)]
-    killed = quotients.lie_ideal_closure(gens, max_d, 2) if max_d >= 3 else set()
+    killed = quotients.lie_ideal_closure(gens, max_d, 2)
     step = FreePoly.letter(1, 2) + FreePoly.letter(2, 2)
     power = FreePoly.unit(2)
     for d in range(max_d + 1):

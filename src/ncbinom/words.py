@@ -102,4 +102,8 @@ def parse_word(s: str, m: int = 2) -> Word:
     parts = s[1:-1].split(",") if s[:1] + s[-1:] == "[]" else list(s)
     if not all(p.isdigit() for p in parts):
         raise ValueError(f"bad word {s!r}; expected digits or [a,b,...]")
-    return tuple(int(p) for p in parts)
+    w = tuple(int(p) for p in parts)
+    for x in w:
+        if not 1 <= x <= m:
+            raise ValueError(f"letter {x} outside alphabet of size {m} in word {s!r}")
+    return w

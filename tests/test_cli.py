@@ -223,6 +223,45 @@ class TestCommands:
         assert code == 0
         assert out.startswith("cyclotomic: PASS")
 
+    # the function each command's output comes from; verify must reach every
+    # one, so that a fault in a command's route can fail a suite
+    ROUTES = {
+        "words": ["lyndon_enumerate", "cfl_factorize", "standard_factorization"],
+        "shuffle": ["sh_word", "sh_closed_form", "sh_pbw_char_p", "binomial_ls"],
+        "pbw": ["reduce_mod_p", "pbw_rewrite"],
+        "bell": ["bell_partial", "bell_dual"],
+        "qsigma": ["qbell", "bell_partials", "ore_binomial", "gen_derivation"],
+        "quotients": ["weyl_binomial", "blumen_binomial", "qcomm_bell_closed",
+                      "kill_project", "lie_ideal_closure"],
+    }
+
+    def test_verify_reaches_every_command_route(self):
+        # a fresh interpreter, so that no cache filled by an earlier test
+        # hides a call
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ncbinom import cli\n"
+            "reached = set()\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call':\n"
+            "        reached.add((frame.f_globals.get('__name__'), frame.f_code.co_name))\n"
+            "sys.setprofile(profile)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', 'all', '--max-degree', '4'])\n"
+            "sys.setprofile(None)\n"
+            "print(json.dumps([code, sorted(reached)]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        code, reached = json.loads(done.stdout)
+        reached = {tuple(pair) for pair in reached}
+        missed = [f"{module}.{name}" for module, names in self.ROUTES.items() for name in names
+                  if (f"ncbinom.{module}", name) not in reached]
+        assert code == 0
+        # ore has no second route yet, so verify never runs it
+        assert missed == ["qsigma.ore_binomial", "qsigma.gen_derivation"]
+
 
 class TestExitCodes:
     def test_usage_error_bad_degree(self, capsys):
@@ -378,6 +417,9 @@ class TestExitCodes:
                                           "terms": [{"coeff": "1", "factors": [["1", 1]]}]},
                                     "2": _WORD2}},
          "image of 1 is not a word polynomial over 2 letters"),
+        ({"alphabet": 2, "images": {"1": _WORD2, "2": dict(_WORD2, terms=[
+            {"coeff": "1", "word": "22"}, {"coeff": "1", "word": "30"}])}},
+         "letter 3 outside alphabet of size 2"),
     ])
     def test_spec_beyond_two_letters_is_refused(self, tmp_path, capsys, kind, spec, reason):
         # ore works over 2 letters; a 3-letter spec once ended in an

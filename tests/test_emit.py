@@ -140,6 +140,15 @@ class TestJson:
         with pytest.raises(TypeError, match="different rings"):
             emit_json(FreePoly({(1,): QPoly((1, 1)), (2,): ModInt(2, 5)}, 2))
 
+    @pytest.mark.parametrize("basis, term", [("word", {"coeff": "1", "word": "07"}),
+                                             ("word", {"coeff": "1", "word": "30"}),
+                                             ("pbw", {"coeff": "1", "factors": [["3", 1]]})])
+    def test_parse_refuses_letters_outside_the_alphabet(self, basis, term):
+        # a word over letters 1..m once parsed with letter 0 or m + 1 in it
+        doc = {"ring": "Q", "basis": basis, "alphabet": 2, "terms": [term]}
+        with pytest.raises(ValueError, match="outside alphabet of size 2"):
+            parse_json(doc)
+
     @pytest.mark.parametrize("argv", [("qbell", "--n", "4"), ("binom", "--degree", "4"),
                                       ("binom", "--degree", "4", "--ring", "GF:3")])
     def test_cli_json_round_trips(self, capsys, argv):

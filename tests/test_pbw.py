@@ -447,6 +447,15 @@ class TestCommutatorLS:
         with pytest.raises(InvariantError, match="vanished"):
             commutator_ls((1, 1, 1, 2), (2,))
 
+    def test_right_factor_equal_to_beta_is_the_simple_case(self, monkeypatch):
+        # st(112) = (1, 12) ends in exactly beta = 12, so [E_112, E_12] must
+        # be E_11212 itself; a doubled result passes the general checks and
+        # only the simple case's equality catches it
+        rewrite = pbw.pbw_rewrite
+        monkeypatch.setattr(pbw, "pbw_rewrite", lambda f: rewrite(f).scale(2))
+        with pytest.raises(InvariantError, match="expected E_"):
+            commutator_ls((1, 1, 2), (1, 2))
+
     def test_failed_postcondition_fails_verify_under_O(self):
         # doubling the brackets of total degree >= 6 leaves the worked
         # examples (degrees 4 and 5) right, so only the postconditions of

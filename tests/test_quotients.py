@@ -1,10 +1,12 @@
+import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from ncbinom import pbw, quotients, verify
 from ncbinom.freepoly import FreePoly
-from ncbinom.pbw import PBWPoly, pbw_rewrite
+from ncbinom.pbw import PBWPoly, commutator_ls, pbw_rewrite
 from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
                                blumen_binomial_rewrite,
                                blumen_higher_derivatives_vanish,
@@ -15,6 +17,7 @@ from ncbinom.quotients import (IdealNotMonomial, blumen_binomial,
                                weyl_monomial)
 from ncbinom.rings import (QPoly, exponent_vectors, q_binomial, q_factorial,
                            q_integer, qpoly_exact_div)
+from ncbinom.words import is_lyndon, lyndon_enumerate
 
 
 class TestKillProject:
@@ -33,9 +36,8 @@ class TestLieIdealClosure:
     def test_weyl_generators(self):
         # killing [x,[x,y]] and [[x,y],y] kills every Lyndon word of
         # length >= 3
-        killed = lie_ideal_closure([(1, 1, 2), (1, 2, 2)], 6)
-        from ncbinom.words import lyndon_enumerate
-        expect = {w for w in lyndon_enumerate(2, 6) if len(w) >= 3}
+        killed = lie_ideal_closure([(1, 1, 2), (1, 2, 2)], 10)
+        expect = {w for w in lyndon_enumerate(2, 10) if len(w) >= 3}
         assert killed == expect
 
     def test_single_long_generator_stays_small(self):
@@ -47,11 +49,115 @@ class TestLieIdealClosure:
         with pytest.raises(ValueError):
             lie_ideal_closure([(2, 1)], 4)
 
+    def test_generator_outside_the_alphabet_rejected(self):
+        # below the degree of the first bracket no basis element is built,
+        # so the letters are checked up front
+        for max_degree in (2, 3):
+            with pytest.raises(ValueError, match="letter outside alphabet of size 2"):
+                lie_ideal_closure([(1, 3)], max_degree, 2)
+
     def test_ideal_mixing_basis_elements_refused(self):
         # the Lie ideal generated by E_112 holds a combination of E_11222
         # and E_12122 but neither alone, so it has no basis of LS elements
         with pytest.raises(IdealNotMonomial, match=r"\(1, 1, 2, 2, 2\), \(1, 2, 1, 2, 2\)"):
             lie_ideal_closure([(1, 1, 2)], 5)
+
+
+def _dense_closure(gens, max_degree, m=2):
+    """The closure as it was first written, kept as an oracle: bracket each
+    killed word with every Lyndon word of the complementary length and fully
+    row-reduce a dense matrix, insisting each reduced row is a unit vector."""
+    gens = [tuple(g) for g in gens]
+    for g in gens:
+        if not is_lyndon(g):
+            raise ValueError(f"generator {g} is not a Lyndon word")
+    all_lyndon = lyndon_enumerate(m, max_degree)
+    killed = set()
+    for d in range(1, max_degree + 1):
+        basis = [w for w in all_lyndon if len(w) == d]
+        idx = {w: i for i, w in enumerate(basis)}
+        vectors = []
+        for g in gens:
+            if len(g) == d:
+                v = [Fraction(0)] * len(basis)
+                v[idx[g]] = Fraction(1)
+                vectors.append(v)
+        for gamma in killed:
+            for beta in all_lyndon:
+                if len(beta) != d - len(gamma) or beta == gamma:
+                    continue
+                if beta < gamma:
+                    bracket = commutator_ls(beta, gamma, m)
+                else:
+                    bracket = commutator_ls(gamma, beta, m).scale(-1)
+                v = [Fraction(0)] * len(basis)
+                for mono, c in bracket.terms.items():
+                    v[idx[mono[0][0]]] = Fraction(c)
+                vectors.append(v)
+        killed.update(_dense_unit_rows(vectors, basis))
+    return killed
+
+
+def _dense_unit_rows(vectors, basis):
+    rows = [list(v) for v in vectors]
+    n = len(basis)
+    pivots = {}
+    for row in rows:
+        for col in range(n):
+            if row[col] and col in pivots:
+                f = row[col]
+                row[:] = [a - f * b for a, b in zip(row, pivots[col])]
+        lead = next((c for c in range(n) if row[c]), None)
+        if lead is None:
+            continue
+        row[:] = [a / row[lead] for a in row]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                f = prow[lead]
+                prow[:] = [a - f * b for a, b in zip(prow, row)]
+        pivots[lead] = row
+    out = []
+    for col, row in pivots.items():
+        if [c for c in range(n) if row[c]] != [col]:
+            raise IdealNotMonomial(f"ideal mixes basis elements at {basis[col]}")
+        out.append(basis[col])
+    return out
+
+
+def _closure_or_refusal(closure, gens, max_degree, m):
+    try:
+        return closure(gens, max_degree, m)
+    except IdealNotMonomial:
+        return "refused"
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("gens, max_degree, m", [
+        ([(1, 1, 2), (1, 2, 2)], 8, 2),
+        ([(1, 1, 1, 2)], 6, 2),
+        ([(1, 2)], 7, 2),
+        ([(1, 1, 2)], 4, 2),
+        ([(1, 1, 2)], 5, 2),
+        ([(1, 1, 2, 2)], 7, 2),
+        ([(1,)], 4, 2),
+        ([(1, 3)], 5, 3),
+        ([(2, 3), (1, 2)], 5, 3),
+    ])
+    def test_listed_sets_match_the_dense_closure(self, gens, max_degree, m):
+        want = _closure_or_refusal(_dense_closure, gens, max_degree, m)
+        assert _closure_or_refusal(lie_ideal_closure, gens, max_degree, m) == want
+
+    def test_random_sets_match_the_dense_closure(self):
+        rng = random.Random(18)
+        outcomes = set()
+        for _ in range(60):
+            m = rng.choice((2, 3))
+            gens = rng.sample(lyndon_enumerate(m, 4), rng.randint(1, 3))
+            max_degree = min(max(map(len, gens)) + rng.randint(0, 2), 6 if m == 2 else 5)
+            want = _closure_or_refusal(_dense_closure, gens, max_degree, m)
+            assert _closure_or_refusal(lie_ideal_closure, gens, max_degree, m) == want, gens
+            outcomes.add(want == "refused")
+        assert outcomes == {False, True}
 
 
 class TestWeyl:

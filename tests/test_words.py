@@ -113,3 +113,8 @@ class TestMisc:
         for bad in ("[1,2", "[[2,1]]", "1,2]", "[]", "[1,,2]", "[1, 2]", "[1,2]]"):
             with pytest.raises(ValueError):
                 parse_word(bad, 10)
+
+    def test_parse_refuses_letters_outside_the_alphabet(self):
+        for bad, m, x in (("07", 9, 0), ("13", 2, 3), ("[1,11]", 10, 11), ("3", 2, 3)):
+            with pytest.raises(ValueError, match=f"letter {x} outside alphabet of size {m}"):
+                parse_word(bad, m)
