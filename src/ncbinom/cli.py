@@ -212,10 +212,6 @@ def _degree_guard(degree: int, cap: int):
             f"total degree {degree} exceeds the cap {cap}; raise --max-degree")
 
 
-def _print_poly(p, fmt):
-    print(emit(p, fmt))
-
-
 def cmd_lyndon(args):
     words = lyndon_enumerate(args.alphabet, args.max_len)
     print(" ".join(format_word(w, args.alphabet) for w in words))
@@ -256,11 +252,11 @@ def cmd_sh(args):
             raise UsageError("--ring GF:p shows only the PBW form; add --pbw")
         if len(counts) != 2 or sum(counts) != p or 0 in counts:
             raise UsageError("GF:p shuffle display expects two positive counts summing to p")
-        _print_poly(sh_pbw_char_p(counts[0], p), args.format)
+        emit(sh_pbw_char_p(counts[0], p), args.format)
     elif args.pbw:
-        _print_poly(sh_closed_form(counts), args.format)
+        emit(sh_closed_form(counts), args.format)
     else:
-        _print_poly(sh_word(counts), args.format)
+        emit(sh_word(counts), args.format)
     return 0
 
 
@@ -271,7 +267,7 @@ def cmd_binom(args):
     poly = binomial_ls(args.alphabet, args.degree)
     if args.modulus is not None:
         poly = reduce_mod_p(poly, args.modulus)
-    _print_poly(poly, args.format)
+    emit(poly, args.format)
     return 0
 
 
@@ -285,7 +281,7 @@ def cmd_pbw(args):
             poly = reduce_mod_p(poly, args.modulus)
         except ZeroDivisionError as e:
             raise UsageError(str(e))
-    _print_poly(poly, args.format)
+    emit(poly, args.format)
     return 0
 
 
@@ -297,7 +293,7 @@ def cmd_bell(args):
         poly = fn(args.n, k)
         label = f"B*({args.n},{k})" if args.dual else f"B({args.n},{k})"
         print(f"{label}: ", end="")
-        _print_poly(poly, args.format)
+        emit(poly, args.format)
     return 0
 
 
@@ -305,9 +301,9 @@ def cmd_qbell(args):
     _degree_guard(args.n, args.max_degree)
     if args.k is not None:
         parts = qsigma.bell_partials(args.n, qsigma.grading_sigma)
-        _print_poly(qsigma.partial_at(parts, args.k), args.format)
+        emit(qsigma.partial_at(parts, args.k), args.format)
     else:
-        _print_poly(qsigma.qbell(args.n), args.format)
+        emit(qsigma.qbell(args.n), args.format)
     return 0
 
 
@@ -329,7 +325,7 @@ def cmd_quotient(args):
         raise UsageError(f"quotient {args.model} does not take {', '.join(extra)}")
     if args.model == "weyl":
         _degree_guard(args.d, args.max_degree)
-        _print_poly(quotients.weyl_binomial(args.d), args.format)
+        emit(quotients.weyl_binomial(args.d), args.format)
         return 0
     if args.model == "blumen":
         _degree_guard(args.n, args.max_degree)
@@ -352,7 +348,7 @@ def cmd_quotient(args):
         if not is_lyndon(w):
             raise UsageError(f"{format_word(w, m)} is not a Lyndon word")
     f = parse_expression(args.expr, m, args.max_degree)
-    _print_poly(quotients.kill_project(pbw_rewrite(f), kill), args.format)
+    emit(quotients.kill_project(pbw_rewrite(f), kill), args.format)
     return 0
 
 
@@ -392,7 +388,7 @@ def cmd_ore(args):
     coeffs = qsigma.ore_binomial(args.n, sigma, delta)
     for k, c in enumerate(coeffs):
         print(f"coeff of x^{args.n - k}: ", end="")
-        _print_poly(c, args.format)
+        emit(c, args.format)
     return 0
 
 

@@ -4,8 +4,10 @@ Every format reads one walk, ``SparseCombination.walk``: the terms in key
 order as (factors, coefficient), where a word w is the single factor (w, 1)
 and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
 
-- Text is ``str(p)``, spelled in ``SparseCombination.__str__``:
+- Text is ``str(p)``, its terms spelled by ``SparseCombination.text_terms``:
   ``2*E(12) + -1*E(2)*E(1)``, which the CLI's expression parser reads back.
+  ``emit`` writes it in chunks of ``CHUNK_TERMS`` terms, so the whole text of
+  a large polynomial is never held at once.
 - LaTeX spells a word-basis letter a as ``x_{a}`` and a PBW factor as
   ``E_{α}^{t}``; a coefficient of ±1 shows only its sign and a negative term
   joins with ``-``: ``3x_{1}x_{2}-x_{2}``, ``2E_{12}^{2}E_{1}-E_{2}``.
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
+from itertools import islice
 
 from .freepoly import FreePoly
 from .pbw import PBWPoly, validate_monomial
@@ -154,11 +158,26 @@ def parse_json(doc: dict):
     raise ValueError(f"unknown basis {doc['basis']!r}")
 
 
-def emit(p, fmt: str) -> str:
+CHUNK_TERMS = 256
+
+
+def emit(p, fmt: str) -> None:
+    """Write p in the format fmt ("text", "latex" or "json") and a newline
+    to standard output.  Text goes out ``CHUNK_TERMS`` terms per write; LaTeX
+    and JSON are built whole first.  An unknown format raises ValueError
+    before anything is written."""
     if fmt == "text":
-        return str(p)
-    if fmt == "latex":
-        return emit_latex(p)
-    if fmt == "json":
-        return json.dumps(emit_json(p))
-    raise ValueError(f"unknown format {fmt!r}")
+        # looked up per call, so that contextlib.redirect_stdout captures it
+        out = sys.stdout
+        terms = p.text_terms()
+        out.write(" + ".join(islice(terms, CHUNK_TERMS)) or "0")
+        while chunk := " + ".join(islice(terms, CHUNK_TERMS)):
+            out.write(" + ")
+            out.write(chunk)
+        out.write("\n")
+    elif fmt == "latex":
+        print(emit_latex(p))
+    elif fmt == "json":
+        print(json.dumps(emit_json(p)))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")

@@ -117,18 +117,21 @@ class SparseCombination:
         for key, c in sorted(self.terms.items()):
             yield self.factors(key), c
 
-    def __str__(self):
-        """Text form, read back by the CLI's expression parser: ``c*E(w)^t``
-        terms joined by `` + ``, a multi-term coefficient in parentheses."""
-        parts = []
+    def text_terms(self):
+        """Text of each term in key order, ``c*E(w)^t`` with a multi-term
+        coefficient in parentheses; the text form joins them with `` + ``."""
         for factors, c in self.walk():
             s = str(c)
             if " " in s:
                 s = f"({s})"
             body = "*".join(f"E({format_word(a, self.m)})" + (f"^{t}" if t > 1 else "")
                             for a, t in factors)
-            parts.append(f"{s}*{body or 1}")
-        return " + ".join(parts) or "0"
+            yield f"{s}*{body or 1}"
+
+    def __str__(self):
+        """Text form, read back by the CLI's expression parser; ``0`` when
+        there are no terms."""
+        return " + ".join(self.text_terms()) or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

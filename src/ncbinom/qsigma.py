@@ -208,7 +208,10 @@ _AD_Q = ad_sigma(_X, grading_sigma)
 
 @lru_cache(maxsize=None)
 def qbell(n: int) -> FreePoly:
-    """(ad_q x + y)^n applied to 1, over Q[q]."""
+    """(ad_q x + y)^n applied to 1, over Q[q]; a negative n raises
+    ValueError."""
+    if n < 0:
+        raise ValueError("negative index")
     if n == 0:
         return FreePoly.unit(2)
     prev = qbell(n - 1)
@@ -217,7 +220,10 @@ def qbell(n: int) -> FreePoly:
 
 @lru_cache(maxsize=None)
 def y_derivative_q(k: int) -> FreePoly:
-    """y^(k): iterated ad_q x of y, with y^(0) = y."""
+    """y^(k): iterated ad_q x of y, with y^(0) = y; a negative k raises
+    ValueError."""
+    if k < 0:
+        raise ValueError("negative index")
     if k == 0:
         return _Y
     return _AD_Q(y_derivative_q(k - 1))

@@ -73,9 +73,33 @@ def _random_pbw_poly(rng, max_degree, monomials: dict):
     return PBWPoly(terms, 2)
 
 
+_SHORT_WORDS = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _product_merge_mismatch(rng, pairs: int = 16):
+    """The first pair (f, g) whose product f*g differs from the sum of a*u*g
+    over the terms a*u of f, or None.  A one-term product never merges keys,
+    so this checks the general product's merge of colliding words: on
+    (E_1 + E_12, E_2 + E_22), where 1*22 = 12*2, and on ``pairs`` random
+    pairs of three words of length 0 to 2."""
+    cases = [(FreePoly({(1,): 1, (1, 2): 1}, 2), FreePoly({(2,): 1, (2, 2): 1}, 2))]
+    for _ in range(pairs):
+        cases.append(tuple(FreePoly(dict(zip(rng.sample(_SHORT_WORDS, 3),
+                                             rng.choices((-3, -2, -1, 1, 2, 3), k=3))), 2)
+                           for _ in range(2)))
+    for f, g in cases:
+        by_terms = FreePoly.zero(2)
+        for u, a in f.terms.items():
+            by_terms = by_terms + FreePoly({u: a}, 2) * g
+        if f * g != by_terms:
+            return f, g
+    return None
+
+
 def verify_pbw_roundtrip(samples: int = 500, max_degree: int = 7,
                          triangular_degree: int = 8, seed: int = 2024):
-    """pbw_rewrite inverts pbw_expand; expansion is triangular."""
+    """pbw_rewrite inverts pbw_expand; expansion is triangular; the word
+    product merges the words that different term pairs give."""
     rng = random.Random(seed)
     monomials = {(j, d - j): enumerate_pbw_monomials(2, (j, d - j))
                  for d in range(max(max_degree, triangular_degree) + 1) for j in range(d + 1)}
@@ -83,6 +107,9 @@ def verify_pbw_roundtrip(samples: int = 500, max_degree: int = 7,
         p = _random_pbw_poly(rng, max_degree, monomials)
         if pbw_rewrite(p.expand()) != p:
             return False, f"round-trip failed on {p!r}"
+    bad = _product_merge_mismatch(rng)
+    if bad:
+        return False, f"product merge failed on ({bad[0]}) * ({bad[1]})"
     tri = 0
     for d in range(triangular_degree + 1):
         for j in range(d + 1):

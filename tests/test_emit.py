@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from ncbinom.cli import main
-from ncbinom.emit import coeff_from_str, emit, emit_json, emit_latex, parse_json
+from ncbinom.emit import CHUNK_TERMS, coeff_from_str, emit, emit_json, emit_latex, parse_json
 from ncbinom.freepoly import FreePoly
-from ncbinom.pbw import PBWPoly, pbw_rewrite
+from ncbinom.pbw import PBWPoly, monomial_from_word, pbw_rewrite
 from ncbinom.rings import ModInt, QPoly
 
 
@@ -157,9 +160,77 @@ class TestJson:
         assert main([*argv, "--format", "text"]) == 0
         assert str(parse_json(doc)) == capsys.readouterr().out.strip()
 
-    def test_emit_dispatch(self):
+    def test_emit_dispatch(self, capsys):
         p = FreePoly.word((1,))
-        assert emit(p, "text") == "1*E(1)"
-        assert json.loads(emit(p, "json"))["basis"] == "word"
+        emit(p, "text")
+        assert capsys.readouterr().out == "1*E(1)\n"
+        emit(p, "json")
+        assert json.loads(capsys.readouterr().out)["basis"] == "word"
         with pytest.raises(ValueError):
             emit(p, "html")
+        assert capsys.readouterr().out == ""
+
+
+# every word over 2 letters up to length 9: 1,023 keys, enough for 2 chunks + 1
+_WORDS = [w for n in range(10) for w in itertools.product((1, 2), repeat=n)]
+_COEFFS = {"int": lambda i: (-1) ** i * (i + 1),
+           "Fraction": lambda i: Fraction(i + 1, 3),
+           "QPoly": lambda i: QPoly((1, i + 1)),  # spelled "1 + 2*q": parenthesised
+           "ModInt": lambda i: ModInt(i % 6 + 1, 7)}
+_SIZES = [0, 1, CHUNK_TERMS - 1, CHUNK_TERMS, CHUNK_TERMS + 1, 2 * CHUNK_TERMS + 1]
+
+
+def _poly(basis, ring, size):
+    """A polynomial of ``size`` terms in that basis with coefficients of that
+    kind; PBW keys are the CFL monomials of the words, so they are distinct."""
+    coeff = _COEFFS[ring]
+    if basis == "word":
+        return FreePoly({w: coeff(i) for i, w in enumerate(_WORDS[:size])}, 2)
+    return PBWPoly({monomial_from_word(w): coeff(i) for i, w in enumerate(_WORDS[:size])}, 2)
+
+
+class _Writes(io.StringIO):
+    """A standard output that records each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("ring", list(_COEFFS))
+    @pytest.mark.parametrize("basis", ["word", "pbw"])
+    def test_text_is_str_and_newline(self, capsys, basis, ring, size):
+        p = _poly(basis, ring, size)
+        assert len(p.terms) == size
+        emit(p, "text")
+        assert capsys.readouterr().out == str(p) + "\n"
+
+    @pytest.mark.parametrize("size", [0, 1, 2 * CHUNK_TERMS + 1])
+    @pytest.mark.parametrize("ring", list(_COEFFS))
+    @pytest.mark.parametrize("basis", ["word", "pbw"])
+    def test_json_and_latex_match_their_builders(self, capsys, basis, ring, size):
+        p = _poly(basis, ring, size)
+        emit(p, "json")
+        assert capsys.readouterr().out == json.dumps(emit_json(p)) + "\n"
+        emit(p, "latex")
+        assert capsys.readouterr().out == emit_latex(p) + "\n"
+
+    def test_text_is_written_a_chunk_at_a_time(self):
+        p = _poly("word", "int", 2 * CHUNK_TERMS + 1)
+        out = _Writes()
+        with contextlib.redirect_stdout(out):
+            emit(p, "text")
+        assert out.getvalue() == str(p) + "\n"
+        assert max(w.count("*E(") for w in out.writes) == CHUNK_TERMS
+        assert sum(w.count("*E(") for w in out.writes) == len(p.terms)
+
+    def test_unknown_format_writes_nothing(self, capsys):
+        with pytest.raises(ValueError, match="unknown format"):
+            emit(_poly("pbw", "QPoly", CHUNK_TERMS + 1), "html")
+        assert capsys.readouterr().out == ""

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from ncbinom import verify
 from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
 
 words = st.lists(st.integers(1, 2), min_size=0, max_size=6).map(tuple)
@@ -60,6 +61,23 @@ class TestArithmetic:
             assert c != 0
 
 
+# The general product with its merge of colliding words subtracting: a product
+# with a one-term factor, which never merges, is left as it is.
+_PLANT_MERGE_SIGN = (
+    "from ncbinom.freepoly import FreePoly\n"
+    "mul = FreePoly.__mul__\n"
+    "def planted(self, other):\n"
+    "    if not isinstance(other, FreePoly) or 1 in (len(self.terms), len(other.terms)):\n"
+    "        return mul(self, other)\n"
+    "    t = {}\n"
+    "    for u, a in self.terms.items():\n"
+    "        for v, b in other.terms.items():\n"
+    "            w = u + v\n"
+    "            t[w] = t[w] - a * b if w in t else a * b\n"
+    "    return FreePoly(t, self.m)\n")
+_MERGE_DETAIL = "product merge failed on (1*E(1) + 1*E(12)) * (1*E(2) + 1*E(22))"
+
+
 class TestProductMerge:
     """The general product, where word products of different term pairs
     collide, against sums of one-term products, whose keys never collide."""
@@ -98,6 +116,17 @@ class TestProductMerge:
             words = {u + v for u in f.terms for v in g.terms}
             collided += len(words) < len(f.terms) * len(g.terms)
         assert collided > 25  # the merge runs in a good share of the draws
+
+    def test_verify_pbw_sees_a_broken_merge(self, monkeypatch):
+        scope = {}
+        exec(_PLANT_MERGE_SIGN, scope)
+        monkeypatch.setattr(FreePoly, "__mul__", scope["planted"])
+        assert verify.run_suite("pbw", 4) == (False, _MERGE_DETAIL)
+
+    def test_verify_pbw_sees_a_broken_merge_under_O(self, verify_under_O):
+        done = verify_under_O("pbw", _PLANT_MERGE_SIGN + "FreePoly.__mul__ = planted\n")
+        assert done.returncode == 1, done.stderr.decode()
+        assert f"pbw: FAIL ({_MERGE_DETAIL})".encode() in done.stdout
 
 
 class TestCommutator:

@@ -276,8 +276,10 @@ class TestQBell:
         assert bell_partials(3, grading_sigma)[0] == FreePoly.zero(2)
         assert bell_partials(3, grading_sigma)[3] == Y ** 3
         assert partial_at(bell_partials(3, grading_sigma), 5) == FreePoly.zero(2)
-        with pytest.raises(ValueError):
-            bell_partials(-1, grading_sigma)
+        for negative in (lambda: bell_partials(-1, grading_sigma), lambda: qbell(-1),
+                         lambda: y_derivative_q(-1), lambda: qbell_at_one(-1)):
+            with pytest.raises(ValueError, match="negative index"):
+                negative()
         with pytest.raises(ValueError):
             partial_at(bell_partials(3, grading_sigma), -1)
 
