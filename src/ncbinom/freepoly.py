@@ -114,8 +114,9 @@ class SparseCombination:
 
     def walk(self):
         """(factors, coefficient) of each term, in key order."""
-        for key, c in sorted(self.terms.items()):
-            yield self.factors(key), c
+        terms = self.terms
+        for key in sorted(terms):
+            yield self.factors(key), terms[key]
 
     def text_terms(self):
         """Text of each term in key order, ``c*E(w)^t`` with a multi-term

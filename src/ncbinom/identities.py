@@ -4,6 +4,7 @@ polynomials and the quantum-plane / cyclotomic facts about Gaussian binomials.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from .freepoly import FreePoly, sh_multidegree
@@ -45,15 +46,15 @@ def faa_di_bruno_check(m: int, n: int) -> bool:
     return lhs == rhs
 
 
-def quantum_plane_normal_order(f: FreePoly):
-    """Normal-order a polynomial over {g, h} with relation g h = q h g.
+def _normal_order_rows(terms):
+    """Normal-order (word, coefficient) pairs over {g, h} with g h = q h g.
 
     Returns a dict (h_count, g_count) -> QPoly; each word contributes
-    q^(number of (g, h) inversions, g left of h).  The rational coefficients
-    of f are summed per (key, inversions), and one QPoly is built per key.
+    q^(number of (g, h) inversions, g left of h).  The coefficients are
+    summed per (key, inversions), and one QPoly is built per key.
     """
     rows = {}
-    for w, c in f.terms.items():
+    for w, c in terms:
         inversions = 0
         seen_g = 0
         for letter in w:
@@ -71,15 +72,20 @@ def quantum_plane_normal_order(f: FreePoly):
     return out
 
 
+def quantum_plane_normal_order(f: FreePoly):
+    """Normal-order a polynomial over {g, h} with relation g h = q h g: a dict
+    (h_count, g_count) -> QPoly, the rational coefficients of f summed."""
+    return _normal_order_rows(f.terms.items())
+
+
 def q_binomial_theorem_check(n: int) -> bool:
     """(x+y)^n = sum_j binom(n,j)_q y^{n-j} x^j in the quantum plane xy = qyx.
 
-    Modeled with x = g, y = h: the relation and normal order match the
-    quantum-plane routine above.
+    Modeled with x = g, y = h: the 2^n words of (x+y)^n, each with
+    coefficient 1, are normal-ordered one at a time as they are generated,
+    and the sums are checked against the Pascal recursion of q_binomial.
     """
-    x = FreePoly.letter(_G, 2)
-    y = FreePoly.letter(_H, 2)
-    ordered = quantum_plane_normal_order((x + y) ** n)
+    ordered = _normal_order_rows((w, 1) for w in product((_G, _H), repeat=n))
     expected = {(n - j, j): q_binomial(n, j) for j in range(n + 1)}
     return ordered == expected
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from . import bell, identities, qsigma, quotients, shuffle
+from . import bell, clear_caches, identities, qsigma, quotients, shuffle
 from .emit import emit_json
 from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
@@ -353,7 +353,12 @@ SUITES = {
 
 
 def run_suite(name: str, max_degree: int = 6):
+    """Run one suite from empty caches, so that it does the same work alone as
+    in ``verify all`` and frees the previous suite's caches.  A failed
+    assertion or a broken arithmetic invariant (a non-triangular expansion,
+    an inexact division) is the suite's FAIL detail."""
+    clear_caches()
     try:
         return SUITES[name](max_degree)
-    except AssertionError as e:
+    except (AssertionError, ArithmeticError) as e:
         return False, str(e)

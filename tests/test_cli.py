@@ -223,6 +223,19 @@ class TestCommands:
         assert code == 0
         assert out.startswith("cyclotomic: PASS")
 
+    @pytest.fixture(scope="class")
+    def verify_all_lines(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "all", "--max-degree", "3"]) == 0
+        return dict(line.split(":", 1) for line in out.getvalue().splitlines())
+
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_verify_suite_alone_prints_its_line_of_all(self, capsys, verify_all_lines, suite):
+        # each suite starts from empty caches, so it does the same work alone
+        code, out, err = run(capsys, "verify", suite, "--max-degree", "3")
+        assert (code, out, err) == (0, f"{suite}:{verify_all_lines[suite]}\n", "")
+
     # the function each command's output comes from; verify must reach every
     # one, so that a fault in a command's route can fail a suite
     ROUTES = {

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ncbinom import cli, identities
 from ncbinom.freepoly import FreePoly, sh_multidegree
 from ncbinom.identities import (a_word, faa_composition_sum,
                                 faa_di_bruno_check, q_binomial_theorem_check,
@@ -34,6 +35,15 @@ class TestCompositionSum:
                     assert faa_di_bruno_check(m, n)
 
 
+# binom(7,3)_q planted one too large in its constant term
+_PLANT_WRONG_BINOMIAL = (
+    "from ncbinom import identities, rings\n"
+    "def planted(n, j):\n"
+    "    bump = rings.QPoly.one() if (n, j) == (7, 3) else rings.QPoly.zero()\n"
+    "    return rings.q_binomial(n, j) + bump\n")
+_WRONG_BINOMIAL_DETAIL = "quantum-plane binomial failed at n=7"
+
+
 class TestQuantumPlane:
     def test_normal_order_single_word(self):
         # g h -> q h g : one inversion
@@ -51,8 +61,26 @@ class TestQuantumPlane:
                 assert got == {(i, n - i): q_binomial(n, i)}
 
     def test_binomial_theorem(self):
-        for n in range(8):
+        # the check streams the 2^n words of (x+y)^n; the free-algebra power,
+        # normal-ordered whole, is the reference route
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        for n in range(9):
             assert q_binomial_theorem_check(n)
+            assert quantum_plane_normal_order((x + y) ** n) == {
+                (n - j, j): q_binomial(n, j) for j in range(n + 1)}
+
+    def test_verify_cyclotomic_sees_a_wrong_gaussian_binomial(self, monkeypatch, capsys):
+        scope = {}
+        exec(_PLANT_WRONG_BINOMIAL, scope)
+        monkeypatch.setattr(identities, "q_binomial", scope["planted"])
+        assert cli.main(["verify", "cyclotomic", "--max-degree", "3"]) == 1
+        assert capsys.readouterr().out == f"cyclotomic: FAIL ({_WRONG_BINOMIAL_DETAIL})\n"
+
+    def test_verify_cyclotomic_sees_a_wrong_gaussian_binomial_under_O(self, verify_under_O):
+        done = verify_under_O("cyclotomic", _PLANT_WRONG_BINOMIAL
+                              + "identities.q_binomial = planted\n", "--max-degree", "3")
+        assert done.returncode == 1, done.stderr.decode()
+        assert done.stdout == f"cyclotomic: FAIL ({_WRONG_BINOMIAL_DETAIL})\n".encode()
 
     def test_pure_powers(self):
         got = quantum_plane_normal_order(FreePoly.word((2, 2, 2)))

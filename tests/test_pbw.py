@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 import ncbinom
-from ncbinom import pbw
+from ncbinom import cli, pbw, verify
 from ncbinom.freepoly import FreePoly, commutator
 from ncbinom.pbw import (InvariantError, OrderViolation, PBWPoly,
                          UnsupportedRing, commutator_ls,
@@ -566,6 +566,17 @@ def _rewrite_with_planted_basis(flags, plant, word):
                           capture_output=True, timeout=30)
 
 
+def _assert_non_unit_e12_verdicts(code, out, err):
+    """``verify all --max-degree 3`` with E_12 planted as 2*12 - 21: all 13
+    suites report, the six that rewrite fail, and theorem-a names E_12."""
+    verdicts = dict(line.split(": ", 1) for line in out.splitlines())
+    assert (code, err) == (1, ""), err
+    assert list(verdicts) == sorted(verify.SUITES)
+    failed = sorted(name for name, v in verdicts.items() if v.startswith("FAIL ("))
+    assert failed == ["blumen", "commutators", "lemma42", "pbw", "theorem-a", "theorem-c"]
+    assert "(1, 2)" in verdicts["theorem-a"]
+
+
 class TestErrors:
     def test_unsupported_ring(self):
         f = FreePoly({(2, 1): ModInt(1, 5)}, 2)
@@ -586,6 +597,29 @@ class TestErrors:
     def test_non_triangular_expansion_raises_under_O(self):
         done = _rewrite_with_planted_basis(["-O"], _PLANT_NON_UNIT_E12, (1, 2))
         assert done.returncode == 3, done.stderr.decode()
+
+    def test_verify_reports_a_non_triangular_basis(self, monkeypatch, capsys):
+        # the rewrite's ArithmeticError is the FAIL line of each suite that
+        # rewrites, and the suites after it still run
+        orig = pbw._basis_codes
+
+        def planted(alpha, m):
+            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m)
+        planted.__wrapped__ = planted
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(pbw, "_basis_codes", planted)
+                code = cli.main(["verify", "all", "--max-degree", "3"])
+        finally:
+            ncbinom.clear_caches()  # drop what the planted basis left in them
+        out, err = capsys.readouterr()
+        _assert_non_unit_e12_verdicts(code, out, err)
+
+    def test_verify_reports_a_non_triangular_basis_under_O(self, verify_under_O):
+        done = verify_under_O("all", "from ncbinom import pbw\n" + _PLANT_NON_UNIT_E12,
+                              "--max-degree", "3")
+        _assert_non_unit_e12_verdicts(done.returncode, done.stdout.decode(),
+                                      done.stderr.decode())
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_word_below_the_least_word_raises(self, flags):
