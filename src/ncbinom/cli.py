@@ -299,11 +299,7 @@ def cmd_bell(args):
 
 def cmd_qbell(args):
     _degree_guard(args.n, args.max_degree)
-    if args.k is not None:
-        parts = qsigma.bell_partials(args.n, qsigma.grading_sigma)
-        emit(qsigma.partial_at(parts, args.k), args.format)
-    else:
-        emit(qsigma.qbell(args.n), args.format)
+    emit(qsigma.qbell_closed(args.n, args.k), args.format)
     return 0
 
 
@@ -374,6 +370,8 @@ def _operator_from_spec(path: str, kind: str, sigma=None):
 
 
 def cmd_ore(args):
+    if args.sigma and args.sigma_spec:
+        raise UsageError("--sigma and --sigma-spec both give sigma; pass one")
     _degree_guard(args.n, args.max_degree)
     if args.sigma_spec:
         sigma = _operator_from_spec(args.sigma_spec, "endomorphism")
@@ -383,9 +381,12 @@ def cmd_ore(args):
         sigma = qsigma.identity
     if args.delta_spec:
         delta = _operator_from_spec(args.delta_spec, "derivation", sigma)
+        coeffs = qsigma.ore_binomial(args.n, sigma, delta)
+    elif args.sigma_spec:
+        coeffs = qsigma.ore_binomial(args.n, sigma, qsigma.ad_sigma(FreePoly.letter(1, 2), sigma))
     else:
-        delta = qsigma.ad_sigma(FreePoly.letter(1, 2), sigma)
-    coeffs = qsigma.ore_binomial(args.n, sigma, delta)
+        # a built-in pair keeps the sigma-Leibniz law by construction
+        coeffs = qsigma.ore_closed(args.n, sigma)
     for k, c in enumerate(coeffs):
         print(f"coeff of x^{args.n - k}: ", end="")
         emit(c, args.format)
@@ -480,7 +481,7 @@ def build_parser():
 
     sp = sub.add_parser("ore", help="binomial coefficients for xy = sigma(y)x + delta(y)")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sigma", choices=["id", "grading"], default="id")
+    sp.add_argument("--sigma", choices=["id", "grading"])
     sp.add_argument("--sigma-spec", help="JSON file with generator images")
     sp.add_argument("--delta-spec", help="JSON file with generator images")
     _add_common(sp)

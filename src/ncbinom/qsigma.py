@@ -7,13 +7,30 @@ shuffle polynomials SH-hat built from the step f -> delta(f) + y*f and sigma,
 with delta = ad_sigma(x) for the binomial theorem, and their factorization
 through the shifted steps D_m.  The one triangle ``_sh_hat_rows`` also gives
 the Bell and q-Bell partials SH-hat_{k,n-k}(y*, ad_sigma x)(1).
+
+The q-Bell polynomial B_q(n) = (ad_q x + y)^n(1) has a closed form in the
+word basis, an identity checked against the step recursion ``qbell``:
+
+    B_q(n) = sum_{b=0}^{n-1} (-1)^b q^{b(b+1)/2} [n-1, b]_q sum_{|P|=n-1-b} P y x^b
+
+for n >= 1.  ad_q x(1) = 0, so the first step writes the word's last y; each
+later step prepends x or y, or appends x with the factor -q^{|f|}.  If the
+appends happen at the lengths S in {1, ..., n-1}, the words P y x^b collect
+sum_{|S|=b} q^{sum S} = q^{b(b+1)/2} [n-1, b]_q, the subset-sum form of the
+Gaussian binomial.  By the second binomial theorem the built-in Ore pairs,
+the grading with ad_q x and the identity with ad x, have the coefficients
+[n,k]_q B_q(k) and C(n,k) B(k) on x^{n-k}.  ``qbell_closed`` and
+``ore_closed`` read these; the recursions and ``ore_binomial`` stay as the
+second routes of ``verify`` and the route for operators from a spec.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations, product
+from math import comb
 
 from .freepoly import FreePoly
 from .rings import QPoly, q_binomial
@@ -143,14 +160,6 @@ def bell_partials(n: int, sigma: Op = identity) -> tuple:
     return tuple(_sh_hat_coeffs(n, lambda f: _Y * f, ad_sigma(_X, sigma), FreePoly.unit(2)))
 
 
-def partial_at(parts: tuple, k: int) -> FreePoly:
-    """Entry k of a tuple from ``bell_partials``: zero for k > n; a negative k
-    raises ValueError."""
-    if k < 0:
-        raise ValueError("negative index")
-    return parts[k] if k < len(parts) else FreePoly.zero(2)
-
-
 def sh_hat_apply(k: int, j: int, x: FreePoly, y: FreePoly, sigma: Op,
                  seed: FreePoly = None) -> FreePoly:
     """Value of the operator shuffle polynomial SH-hat_{k,j} on a seed element.
@@ -218,6 +227,45 @@ def qbell(n: int) -> FreePoly:
     return _AD_Q(prev) + _Y * prev
 
 
+def _qbell_coeff(n: int, b: int):
+    """c_b = (-1)^b q^{b(b+1)/2} [n-1, b]_q, the coefficient of the words
+    P y x^b in B_q(n); c_0 is the int 1, as the step recursion leaves it."""
+    if b == 0:
+        return 1
+    c = q_binomial(n - 1, b).shift(b * (b + 1) // 2)
+    return -c if b % 2 else c
+
+
+def _bell_words(n: int, coeff, k: int = None) -> FreePoly:
+    """sum_b coeff(b) sum_P P y x^b over the words P of length n-1-b, only
+    those with k-1 letters y when k is given; coeff(0) on the empty word at
+    n = 0.  Each coefficient is computed once and shared by its words."""
+    if n == 0 and not k:
+        return FreePoly({(): coeff(0)}, 2)
+    if k == 0:
+        return FreePoly.zero(2)
+    terms = {}
+    for b in range(n - (k or 1) + 1):
+        c, tail, length = coeff(b), (2,) + (1,) * b, n - 1 - b
+        if k is None:
+            heads = product((1, 2), repeat=length)
+        else:
+            heads = ([2 if i in ys else 1 for i in range(length)]
+                     for ys in map(set, combinations(range(length), k - 1)))
+        for head in heads:
+            terms[(*head, *tail)] = c
+    return FreePoly._make(terms, 2)
+
+
+def qbell_closed(n: int, k: int = None) -> FreePoly:
+    """B_q(n) by the closed word-basis formula of the module docstring, or its
+    part B_q(n,k) with k letters y: zero for k > n; a negative n or k raises
+    ValueError.  Equals ``qbell(n)`` and ``bell_partials(n, grading_sigma)[k]``."""
+    if n < 0 or (k is not None and k < 0):
+        raise ValueError("negative index")
+    return _bell_words(n, partial(_qbell_coeff, n), k)
+
+
 @lru_cache(maxsize=None)
 def y_derivative_q(k: int) -> FreePoly:
     """y^(k): iterated ad_q x of y, with y^(0) = y; a negative k raises
@@ -255,9 +303,14 @@ def binomial_q_verify(n: int) -> bool:
     return total == (_X + _Y) ** n
 
 
+def at_q_one(f: FreePoly) -> FreePoly:
+    """f with q specialized to 1 in every q-polynomial coefficient."""
+    return f.map_coeffs(lambda c: c(1) if isinstance(c, QPoly) else c)
+
+
 def qbell_at_one(n: int) -> FreePoly:
     """qbell(n) with q specialized to 1; should equal the plain Bell polynomial."""
-    return qbell(n).map_coeffs(lambda c: c(1) if isinstance(c, QPoly) else c)
+    return at_q_one(qbell(n))
 
 
 def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
@@ -270,3 +323,21 @@ def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
         raise ValueError("negative power")
     check_sigma_derivation(delta, sigma, m)
     return _sh_hat_coeffs(n, step(delta, FreePoly.letter(2, m)), sigma, FreePoly.unit(m))
+
+
+def ore_closed(n: int, sigma: Op) -> list:
+    """``ore_binomial(n, sigma, ad_sigma(x, sigma))`` for the built-in sigmas,
+    by the second binomial theorem: [n,k]_q B_q(k) on x^{n-k} for
+    grading_sigma (the int 1 for [n,n]_q) and C(n,k) B(k), with
+    B(k) = sum_b (-1)^b C(k-1,b) sum_P P y x^b, for identity."""
+    if n < 0:
+        raise ValueError("negative power")
+    if sigma is grading_sigma:
+        def coeff(k, b):
+            return (1 if k == n else q_binomial(n, k)) * _qbell_coeff(k, b)
+    elif sigma is identity:
+        def coeff(k, b):
+            return (-1) ** b * comb(k - 1, b) * comb(n, k) if k else 1
+    else:
+        raise ValueError("the closed form covers only the identity and the grading")
+    return [_bell_words(k, partial(coeff, k)) for k in range(n + 1)]

@@ -234,18 +234,32 @@ def verify_theorem_b(max_n: int = 6):
 
 
 def verify_qbell(max_n: int = 6):
-    """q-Bell binomial identity and the q=1 collapse to plain Bell."""
+    """q-Bell binomial identity and the q=1 collapse to plain Bell; the closed
+    word-basis form against the step recursion, the q-triangle partials and,
+    at q = 1, the Bell partials; the built-in Ore pairs read off it against
+    ``ore_binomial`` at n = max_n."""
     for n in range(max_n + 1):
         if not qsigma.binomial_q_verify(n):
             return False, f"q-binomial identity failed at n={n}"
         if qsigma.qbell_at_one(n) != bell.bell_word(n):
             return False, f"q=1 specialization failed at n={n}"
+        if qsigma.qbell_closed(n) != qsigma.qbell(n):
+            return False, f"closed q-Bell form mismatch at n={n}"
         parts = qsigma.bell_partials(n, qsigma.grading_sigma)
         for k, part in enumerate(parts):
             if part != qsigma.qbell_partial_alt(n, k):
                 return False, f"alternative recursion mismatch at ({n},{k})"
+            closed = qsigma.qbell_closed(n, k)
+            if closed != part:
+                return False, f"closed partial mismatch at ({n},{k})"
+            if qsigma.at_q_one(closed) != qsigma.bell_partials(n)[k]:
+                return False, f"closed partial at q=1 mismatch at ({n},{k})"
         if sum(parts, FreePoly.zero(2)) != qsigma.qbell(n):
             return False, f"partial q-Bell sum mismatch at n={n}"
+    for name, sigma in (("id", qsigma.identity), ("grading", qsigma.grading_sigma)):
+        delta = qsigma.ad_sigma(FreePoly.letter(1, 2), sigma)
+        if qsigma.ore_closed(max_n, sigma) != qsigma.ore_binomial(max_n, sigma, delta):
+            return False, f"closed Ore coefficients mismatch at n={max_n}, sigma={name}"
     return True, f"n <= {max_n}"
 
 

@@ -243,7 +243,7 @@ class TestCommands:
         "shuffle": ["sh_word", "sh_closed_form", "sh_pbw_char_p", "binomial_ls"],
         "pbw": ["reduce_mod_p", "pbw_rewrite"],
         "bell": ["bell_partial", "bell_dual"],
-        "qsigma": ["qbell", "bell_partials", "ore_binomial", "gen_derivation"],
+        "qsigma": ["qbell_closed", "ore_closed", "ore_binomial", "gen_derivation"],
         "quotients": ["weyl_binomial", "blumen_binomial", "qcomm_bell_closed",
                       "kill_project", "lie_ideal_closure"],
     }
@@ -272,8 +272,8 @@ class TestCommands:
         missed = [f"{module}.{name}" for module, names in self.ROUTES.items() for name in names
                   if (f"ncbinom.{module}", name) not in reached]
         assert code == 0
-        # ore has no second route yet, so verify never runs it
-        assert missed == ["qsigma.ore_binomial", "qsigma.gen_derivation"]
+        # no verify suite reads an operator from a spec
+        assert missed == ["qsigma.gen_derivation"]
 
 
 class TestExitCodes:
@@ -391,6 +391,20 @@ class TestExitCodes:
             code, out, err = e.code, captured.out, captured.err
         assert code == 2 and out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("sigma", ["id", "grading"])
+    def test_sigma_with_sigma_spec_is_refused(self, tmp_path, capsys, sigma):
+        # a spec once silently overrode --sigma: with the identity as spec,
+        # --sigma grading printed the bytes of sigma = id and exited 0
+        letter = {x: {"ring": "Q", "basis": "word", "alphabet": 2,
+                      "terms": [{"coeff": "1", "word": x}]} for x in "12"}
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"alphabet": 2, "images": letter}))
+        assert run(capsys, "ore", "--n", "2", "--sigma-spec", str(path))[0] == 0
+        code, out, err = run(capsys, "ore", "--n", "2", "--sigma", sigma,
+                             "--sigma-spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: --sigma and --sigma-spec both give sigma; pass one\n"
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "sigma.json"

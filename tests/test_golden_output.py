@@ -131,6 +131,50 @@ GOLDEN = {
         'text': ('0\n'),
         'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": []}\n'),
     },
+    # below degree 2 the ring tag tells an int coefficient from a q-polynomial:
+    # only a coefficient that sigma has touched is one, as on x^1 of ore --n 1
+    ('qbell', '--n', '0'): {
+        'text': ('1*E(e)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"word": "e"}]}\n'),
+    },
+    ('qbell', '--n', '1'): {
+        'text': ('1*E(2)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"word": "2"}]}\n'),
+    },
+    ('qbell', '--n', '1', '--k', '1'): {
+        'text': ('1*E(2)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"word": "2"}]}\n'),
+    },
+    ('qbell', '--n', '2', '--k', '2'): {
+        'text': ('1*E(22)\n'),
+        'json': ('{"ring": "Q", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"word": "22"}]}\n'),
+    },
+    ('ore', '--n', '0', '--sigma', 'grading'): {
+        'text': ('coeff of x^0: 1*E(e)\n'),
+        'json': ('coeff of x^0: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "1", "word": "e"}]}\n'),
+    },
+    ('ore', '--n', '0', '--sigma', 'id'): {
+        'text': ('coeff of x^0: 1*E(e)\n'),
+        'json': ('coeff of x^0: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "1", "word": "e"}]}\n'),
+    },
+    ('ore', '--n', '1', '--sigma', 'grading'): {
+        'text': ('coeff of x^1: 1*E(e)\ncoeff of x^0: 1*E(2)\n'),
+        'json': ('coeff of x^1: {"ring": "Q[q]", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "1", "word": "e"}]}\ncoeff of x^0: {"ring": "Q", '
+            '"basis": "word", "alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
+    },
+    ('ore', '--n', '1', '--sigma', 'id'): {
+        'text': ('coeff of x^1: 1*E(e)\ncoeff of x^0: 1*E(2)\n'),
+        'json': ('coeff of x^1: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
+            '[{"coeff": "1", "word": "e"}]}\ncoeff of x^0: {"ring": "Q", "basis": '
+            '"word", "alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
+    },
     ('ore', '--n', '2', '--sigma', 'grading'): {
         'text': ('coeff of x^2: 1*E(e)\ncoeff of x^1: (1 + q)*E(2)\ncoeff of x^0: '
             '1*E(12) + -1*q*E(21) + 1*E(22)\n'),

@@ -5,12 +5,12 @@ import pytest
 
 from ncbinom.freepoly import FreePoly
 from ncbinom import qsigma
-from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, bell_partials,
+from ncbinom.qsigma import (NotASigmaDerivation, ad_sigma, at_q_one, bell_partials,
                             binomial_q_verify, check_sigma_derivation, d_m_sums,
                             endomorphism, gen_derivation, grading_sigma, identity,
-                            ore_binomial, partial_at, qbell, qbell_at_one,
-                            qbell_partial_alt, sh_hat_apply, sh_hat_triangle, step,
-                            y_derivative_q)
+                            ore_binomial, ore_closed, qbell, qbell_at_one,
+                            qbell_closed, qbell_partial_alt, sh_hat_apply, sh_hat_triangle,
+                            step, y_derivative_q)
 from ncbinom.bell import bell_word
 from ncbinom.rings import QPoly, q_binomial
 from ncbinom.verify import run_suite
@@ -275,13 +275,10 @@ class TestQBell:
         assert bell_partials(0, grading_sigma) == (FreePoly.unit(2),)
         assert bell_partials(3, grading_sigma)[0] == FreePoly.zero(2)
         assert bell_partials(3, grading_sigma)[3] == Y ** 3
-        assert partial_at(bell_partials(3, grading_sigma), 5) == FreePoly.zero(2)
         for negative in (lambda: bell_partials(-1, grading_sigma), lambda: qbell(-1),
                          lambda: y_derivative_q(-1), lambda: qbell_at_one(-1)):
             with pytest.raises(ValueError, match="negative index"):
                 negative()
-        with pytest.raises(ValueError):
-            partial_at(bell_partials(3, grading_sigma), -1)
 
     def test_partial_small_values(self):
         # B_q(2,1) = ad_q x (y) = xy - q yx
@@ -332,6 +329,105 @@ class TestQBell:
     def test_y_derivatives(self):
         assert y_derivative_q(0) == Y
         assert y_derivative_q(1) == X * Y - (Y * X).map_coeffs(lambda c: Q * c)
+
+
+# faulty bodies of qsigma._qbell_coeff for b >= 1, each one slip in
+# c_b = (-1)^b q^{b(b+1)/2} [n-1, b]_q
+COEFF_FAULTS = {
+    "upper index n": ("c = q_binomial(n, b).shift(b * (b + 1) // 2)\n"
+                      "    return -c if b % 2 else c"),
+    "no sign": "return q_binomial(n - 1, b).shift(b * (b + 1) // 2)",
+    "q^{b(b-1)/2}": ("c = q_binomial(n - 1, b).shift(b * (b - 1) // 2)\n"
+                     "    return -c if b % 2 else c"),
+}
+
+
+def faulty_coeff_source(fault):
+    return ("def faulty(n, b):\n"
+            "    if b == 0:\n"
+            "        return 1\n"
+            f"    {COEFF_FAULTS[fault]}\n")
+
+
+class TestClosedForm:
+    def test_equals_the_step_recursion(self):
+        for n in range(11):
+            assert qbell_closed(n) == qbell(n), n
+
+    def test_partials_equal_the_q_triangle_and_at_one_the_bell_partials(self):
+        for n in range(10):
+            q_parts, parts = bell_partials(n, grading_sigma), bell_partials(n)
+            for k in range(n + 1):
+                closed = qbell_closed(n, k)
+                assert closed == q_parts[k], (n, k)
+                assert at_q_one(closed) == parts[k], (n, k)
+
+    @pytest.mark.parametrize("sigma", [identity, grading_sigma])
+    def test_builtin_ore_pairs_equal_ore_binomial(self, sigma):
+        for n in range(8):
+            assert ore_closed(n, sigma) == ore_binomial(n, sigma, ad_sigma(X, sigma)), n
+
+    def test_words_share_n_coefficients(self):
+        # 2^n - 1 words, every word with a y, and one coefficient object per b
+        for n in range(1, 9):
+            terms = qbell_closed(n).terms
+            assert len(terms) == 2 ** n - 1
+            assert len({id(c) for c in terms.values()}) == n
+
+    def test_edge_cases(self):
+        assert qbell_closed(0) == qbell_closed(0, 0) == FreePoly.unit(2)
+        assert qbell_closed(3, 0) == qbell_closed(3, 4) == qbell_closed(0, 1) == FreePoly.zero(2)
+        for bad in (lambda: qbell_closed(-1), lambda: qbell_closed(3, -1),
+                    lambda: qbell_closed(-1, 0)):
+            with pytest.raises(ValueError, match="negative index"):
+                bad()
+        with pytest.raises(ValueError, match="negative power"):
+            ore_closed(-1, identity)
+        with pytest.raises(ValueError):
+            ore_closed(2, endomorphism({1: Y, 2: X}, 2))
+
+    def test_integer_coefficients_where_sigma_never_acts(self):
+        # the JSON ring tag reads the coefficient types: int on the words
+        # P y and on [n,n]_q B_q(n) at b = 0, q-polynomials elsewhere
+        assert type(qbell_closed(3).coeff((1, 1, 2))) is int
+        assert type(qbell_closed(3).coeff((1, 2, 1))) is QPoly
+        grading = ore_closed(2, grading_sigma)
+        assert type(grading[0].coeff(())) is QPoly
+        assert type(grading[2].coeff((1, 2))) is int
+        assert all(type(c) is int for p in ore_closed(5, identity) for c in p.terms.values())
+
+    @pytest.mark.parametrize("fault", sorted(COEFF_FAULTS))
+    def test_planted_coefficient_fault_fails_verify(self, monkeypatch, fault):
+        scope = {"q_binomial": q_binomial}
+        exec(faulty_coeff_source(fault), scope)
+        monkeypatch.setattr(qsigma, "_qbell_coeff", scope["faulty"])
+        assert run_suite("qbell", 4) == (False, "closed q-Bell form mismatch at n=2")
+
+    @pytest.mark.parametrize("fault", sorted(COEFF_FAULTS))
+    def test_planted_coefficient_fault_fails_verify_under_O(self, verify_under_O, fault):
+        done = verify_under_O("qbell", ("from ncbinom import qsigma\n"
+                                        "from ncbinom.rings import q_binomial\n"
+                                        + faulty_coeff_source(fault)
+                                        + "qsigma._qbell_coeff = faulty\n"))
+        assert done.returncode == 1, done.stderr.decode()
+        assert done.stdout == b"qbell: FAIL (closed q-Bell form mismatch at n=2)\n"
+
+    def test_verify_qbell_sees_a_wrong_closed_partial(self, monkeypatch):
+        closed = qsigma.qbell_closed
+        monkeypatch.setattr(qsigma, "qbell_closed", lambda n, k=None: (
+            closed(n, k) + Y ** n if k == 2 else closed(n, k)))
+        assert run_suite("qbell", 4) == (False, "closed partial mismatch at (2,2)")
+
+    @pytest.mark.parametrize("name, sigma", [("id", identity), ("grading", grading_sigma)])
+    def test_verify_qbell_sees_a_wrong_ore_coefficient(self, monkeypatch, name, sigma):
+        closed = qsigma.ore_closed
+
+        def bumped(n, s):
+            coeffs = closed(n, s)
+            return coeffs[:-1] + [coeffs[-1] + X ** n] if s is sigma else coeffs
+        monkeypatch.setattr(qsigma, "ore_closed", bumped)
+        assert run_suite("qbell", 4) == (
+            False, f"closed Ore coefficients mismatch at n=4, sigma={name}")
 
 
 class TestOre:
