@@ -1,14 +1,15 @@
 """Command-line surface: enumeration, factorization, expansions, quotients,
 and the identity verification driver.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error.
+Exit codes: 0 success, 1 identity failure, 2 usage error, 141 standard
+output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -117,7 +118,7 @@ class _Parser:
             if n is None or not n.isdigit():
                 raise UsageError("power must be a nonnegative integer")
             # a constant's exponent is capped as a letter's is: 3^33333 would
-            # run 33333 products and give an int too long to print
+            # give an int too long to print
             self.guard(max(_degree(atom), 1) * int(n), _bits(atom) * int(n))
             atom = atom ** int(n)
         return atom
@@ -349,6 +350,7 @@ def cmd_quotient(args):
 
 
 def _operator_from_spec(path: str, kind: str, sigma=None):
+    import json
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -506,10 +508,18 @@ def main(argv=None):
         _check_bounds(args)
         if hasattr(args, "ring"):
             args.modulus = _parse_ring(args.ring, args.modular)
-        return args.fn(args)
+        code = args.fn(args)
+        # a closed pipe shows here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output: stop quietly, as a SIGPIPE
+        # would, and send what is still buffered to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

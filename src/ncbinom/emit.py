@@ -6,8 +6,6 @@ and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
 
 - Text is ``str(p)``, its terms spelled by ``SparseCombination.text_terms``:
   ``2*E(12) + -1*E(2)*E(1)``, which the CLI's expression parser reads back.
-  ``emit`` writes it in chunks of ``CHUNK_TERMS`` terms, so the whole text of
-  a large polynomial is never held at once.
 - LaTeX spells a word-basis letter a as ``x_{a}`` and a PBW factor as
   ``E_{α}^{t}``; a coefficient of ±1 shows only its sign and a negative term
   joins with ``-``: ``3x_{1}x_{2}-x_{2}``, ``2E_{12}^{2}E_{1}-E_{2}``.
@@ -15,12 +13,14 @@ and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
   "alphabet": m, "terms": [...]} with coefficients rendered as strings.  The
   ring tag is read from every coefficient: one q-polynomial makes it Q[q].
 
-Text and JSON are the byte-stable forms.
+``emit`` writes every format in chunks of ``CHUNK_TERMS`` terms, so the whole
+printout of a large polynomial is never held at once; ``emit_latex`` and
+``emit_json`` build the same terms whole.  ``json`` is imported only where
+JSON is written.  Text and JSON are the byte-stable forms.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
@@ -89,7 +89,7 @@ def _latex_term(c, body: str):
         qterms = [(x, "" if i == 0 else "q" if i == 1 else f"q^{{{i}}}")
                   for i, x in enumerate(c.coeffs) if x]
         if len(qterms) > 1:
-            return False, "(" + _signed_join(_latex_term(x, q) for x, q in qterms) + ")" + body
+            return False, "(" + "".join(_signed(_latex_term(x, q) for x, q in qterms)) + ")" + body
         (c, q), = qterms
         body = q + body
     s = str(c)
@@ -99,21 +99,25 @@ def _latex_term(c, body: str):
     return negative, ("" if s == "1" and body else s) + body
 
 
-def _signed_join(terms) -> str:
-    out = ""
+def _signed(terms):
+    """Each (negative, text) term as a piece carrying its own sign; the
+    first term shows only a minus."""
+    first = True
     for negative, text in terms:
-        if negative:
-            out += "-"
-        elif out:
-            out += "+"
-        out += text
-    return out or "0"
+        yield ("-" if negative else "" if first else "+") + text
+        first = False
+
+
+def _latex_pieces(p):
+    """The LaTeX of each term of p in key order, with its sign."""
+    return _signed(
+        _latex_term(c, "".join(_latex_factor(p.basis, a, t, p.m) for a, t in factors))
+        for factors, c in p.walk())
 
 
 def emit_latex(p) -> str:
-    return _signed_join(
-        _latex_term(c, "".join(_latex_factor(p.basis, a, t, p.m) for a, t in factors))
-        for factors, c in p.walk())
+    """The LaTeX of p, built whole; ``emit`` writes the same pieces."""
+    return "".join(_latex_pieces(p)) or "0"
 
 
 # -- JSON --------------------------------------------------------------------
@@ -134,11 +138,22 @@ def _poly_ring(p) -> str:
     return tags.pop() if tags else "Q"
 
 
+def _json_head(p) -> dict:
+    """p's document with no terms yet; raises TypeError on mixed rings."""
+    return {"ring": _poly_ring(p), "basis": p.basis, "alphabet": p.m, "terms": []}
+
+
+def _json_terms(p):
+    """The JSON object of each term of p, in key order."""
+    for factors, c in p.walk():
+        yield {"coeff": str(c), **_json_term(p.basis, factors, p.m)}
+
+
 def emit_json(p) -> dict:
-    ring = _poly_ring(p)
-    terms = [{"coeff": str(c), **_json_term(p.basis, factors, p.m)}
-             for factors, c in p.walk()]
-    return {"ring": ring, "basis": p.basis, "alphabet": p.m, "terms": terms}
+    """The JSON document of p, built whole; ``emit`` writes the same terms."""
+    doc = _json_head(p)
+    doc["terms"].extend(_json_terms(p))
+    return doc
 
 
 def parse_json(doc: dict):
@@ -163,21 +178,27 @@ CHUNK_TERMS = 256
 
 def emit(p, fmt: str) -> None:
     """Write p in the format fmt ("text", "latex" or "json") and a newline
-    to standard output.  Text goes out ``CHUNK_TERMS`` terms per write; LaTeX
-    and JSON are built whole first.  An unknown format raises ValueError
-    before anything is written."""
+    to standard output, ``CHUNK_TERMS`` terms per write.  Each format is a
+    head, its terms joined by a separator, and a tail; the JSON pieces are
+    those of ``json.dumps(emit_json(p))``, whose separators are ``", "`` and
+    ``": "``.  An unknown format or a mixed ring raises before anything is
+    written."""
+    head, tail, empty = "", "\n", "0"
     if fmt == "text":
-        # looked up per call, so that contextlib.redirect_stdout captures it
-        out = sys.stdout
-        terms = p.text_terms()
-        out.write(" + ".join(islice(terms, CHUNK_TERMS)) or "0")
-        while chunk := " + ".join(islice(terms, CHUNK_TERMS)):
-            out.write(" + ")
-            out.write(chunk)
-        out.write("\n")
+        pieces, sep = p.text_terms(), " + "
     elif fmt == "latex":
-        print(emit_latex(p))
+        pieces, sep = _latex_pieces(p), ""
     elif fmt == "json":
-        print(json.dumps(emit_json(p)))
+        import json
+        # the document with an empty term list ends in "[]}"
+        head, tail, empty = json.dumps(_json_head(p))[:-2], "]}\n", ""
+        pieces, sep = map(json.dumps, _json_terms(p)), ", "
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    # looked up per call, so that contextlib.redirect_stdout captures it
+    out = sys.stdout
+    out.write(head + (sep.join(islice(pieces, CHUNK_TERMS)) or empty))
+    while chunk := sep.join(islice(pieces, CHUNK_TERMS)):
+        out.write(sep)
+        out.write(chunk)
+    out.write(tail)

@@ -195,11 +195,21 @@ class FreePoly(SparseCombination):
         return NotImplemented
 
     def __pow__(self, n: int) -> "FreePoly":
+        """self^n by squaring: about 2·log2(n) products where the n-fold
+        product takes n, and the same result, since the product is exact and
+        associative.  Only the order of the terms' keys may differ."""
         if n < 0:
             raise ValueError("negative power")
-        result = FreePoly.unit(self.m)
-        for _ in range(n):
-            result = result * self
+        if n == 0:
+            return FreePoly.unit(self.m)
+        result, square = None, self
+        while True:
+            if n & 1:
+                result = square if result is None else result * square
+            n >>= 1
+            if not n:
+                break
+            square = square * square
         return result
 
 

@@ -521,6 +521,45 @@ class TestExitCodes:
             main(["binom", "--degree", "2"])
 
 
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+
+
+class TestFreshProcess:
+    """What only a fresh interpreter shows: its exit on a closed pipe and the
+    modules it loads."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    @pytest.mark.parametrize("read", [0, 20])
+    def test_closed_stdout_exits_141_quietly(self, fmt, read):
+        # 123 KB of text, more than a pipe holds, so the writer meets the close
+        with subprocess.Popen([sys.executable, "-m", "ncbinom.cli", "binom", "--degree", "12",
+                               "--max-degree", "12", "--format", fmt], env=_cli_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+        assert len(head) == read
+
+    def test_importing_the_cli_does_not_load_json(self):
+        # -S keeps the host's site customisations, which may import json, out
+        done = subprocess.run([sys.executable, "-S", "-c",
+                               "import ncbinom.cli, sys; print('json' in sys.modules)"],
+                              env=_cli_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("fmt, loaded", [("text", False), ("latex", False), ("json", True)])
+    def test_json_loads_only_for_json_output(self, fmt, loaded):
+        script = ("import sys\nfrom ncbinom.cli import main\n"
+                  "code = main(['binom', '--degree', '3', '--format', sys.argv[1]])\n"
+                  "print(code, 'json' in sys.modules, file=sys.stderr)\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script, fmt], env=_cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.stderr == f"0 {loaded}\n"
+        assert "122" in done.stdout
+
+
 class TestJsonPipeline:
     def test_emit_parse_identity_random(self):
         rng = random.Random(31)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -211,7 +212,7 @@ class TestStreamedOutput:
         emit(p, "text")
         assert capsys.readouterr().out == str(p) + "\n"
 
-    @pytest.mark.parametrize("size", [0, 1, 2 * CHUNK_TERMS + 1])
+    @pytest.mark.parametrize("size", _SIZES)
     @pytest.mark.parametrize("ring", list(_COEFFS))
     @pytest.mark.parametrize("basis", ["word", "pbw"])
     def test_json_and_latex_match_their_builders(self, capsys, basis, ring, size):
@@ -221,14 +222,31 @@ class TestStreamedOutput:
         emit(p, "latex")
         assert capsys.readouterr().out == emit_latex(p) + "\n"
 
-    def test_text_is_written_a_chunk_at_a_time(self):
+    # terms in one write of each format, for a word-basis p with int coefficients:
+    # a LaTeX term starts a write or follows its sign, and no term holds a sign
+    _TERMS_IN = {"text": lambda w: w.count("*E("),
+                 "latex": lambda w: len(re.findall(r"(?:^|[+-])[^+\-\n]", w)),
+                 "json": lambda w: w.count('"coeff"')}
+    _BUILT = {"text": str, "latex": emit_latex, "json": lambda p: json.dumps(emit_json(p))}
+
+    @pytest.mark.parametrize("fmt", list(_TERMS_IN))
+    def test_every_format_is_written_a_chunk_at_a_time(self, fmt):
         p = _poly("word", "int", 2 * CHUNK_TERMS + 1)
         out = _Writes()
         with contextlib.redirect_stdout(out):
-            emit(p, "text")
-        assert out.getvalue() == str(p) + "\n"
-        assert max(w.count("*E(") for w in out.writes) == CHUNK_TERMS
-        assert sum(w.count("*E(") for w in out.writes) == len(p.terms)
+            emit(p, fmt)
+        assert out.getvalue() == self._BUILT[fmt](p) + "\n"
+        counts = [self._TERMS_IN[fmt](w) for w in out.writes]
+        assert max(counts) == CHUNK_TERMS
+        assert sum(counts) == len(p.terms)
+
+    def test_mixed_rings_raise_before_json_is_written(self, capsys):
+        terms = dict(_poly("pbw", "QPoly", CHUNK_TERMS + 1).terms)
+        terms[monomial_from_word(_WORDS[CHUNK_TERMS + 1])] = ModInt(3, 7)
+        p = PBWPoly(terms, 2)
+        with pytest.raises(TypeError, match="different rings"):
+            emit(p, "json")
+        assert capsys.readouterr().out == ""
 
     def test_unknown_format_writes_nothing(self, capsys):
         with pytest.raises(ValueError, match="unknown format"):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ncbinom import verify
 from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
+from ncbinom.rings import ModInt, QPoly
 
 words = st.lists(st.integers(1, 2), min_size=0, max_size=6).map(tuple)
 
@@ -59,6 +61,53 @@ class TestArithmetic:
         fg = f * g
         for w, c in fg.terms.items():
             assert c != 0
+
+
+_POWER_COEFFS = {"int": lambda i: (-1) ** i * (i + 2),
+                 "Fraction": lambda i: Fraction(i + 1, 3),
+                 "QPoly": lambda i: QPoly((1, i + 1)),
+                 "ModInt": lambda i: ModInt(i % 4 + 1, 5)}
+
+
+def _n_fold(f, n):
+    out = FreePoly.unit(f.m)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+class TestPower:
+    """``f ** n`` squares; it must equal the n-fold product."""
+
+    # one term; two letters; words of lengths 2, 1 and 0, whose products collide
+    @pytest.mark.parametrize("words", [[(1, 2)], [(1,), (2,)], [(1, 2), (2,), ()]])
+    @pytest.mark.parametrize("ring", list(_POWER_COEFFS))
+    def test_equals_the_n_fold_product(self, ring, words):
+        f = FreePoly({w: _POWER_COEFFS[ring](i) for i, w in enumerate(words)}, 2)
+        for n in range(13):
+            assert f ** n == _n_fold(f, n)
+
+    def test_products_grow_with_log_n(self, monkeypatch):
+        calls = []
+        mul = FreePoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(FreePoly, "__mul__", counted)
+        f = FreePoly.word((1, 2), 2, 3)
+        for n in range(1, 130):
+            calls.clear()
+            assert (f ** n).terms == {(1, 2) * n: 3 ** n}
+            assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1
+        calls.clear()
+        assert f ** 0 == FreePoly.unit(2)
+        assert calls == []
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            FreePoly.letter(1) ** -1
 
 
 # The general product with its merge of colliding words subtracting: a product
