@@ -1,17 +1,23 @@
 """Command-line surface: enumeration, factorization, expansions, quotients,
 and the identity verification driver.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error, 141 standard
-output closed by its reader (128 + SIGPIPE).
+The command line is read against one table, ``COMMANDS``, which also gives
+the text of ``-h``/``--help``.  An option is spelled ``--flag value`` or
+``--flag=value``, by its full name or a unique prefix of it; given twice, the
+last value counts.
+
+Exit codes: 0 success (help included), 1 identity failure, 2 usage error,
+printed as one ``error:`` line on stderr, 141 standard output closed by its
+reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 
 from . import qsigma, quotients, verify
@@ -182,12 +188,16 @@ def _check_bounds(args):
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _parse_ring(spec: str, modular: bool):
-    """None for --ring Q, else the prime p of GF:p (only where ``modular``)."""
+def _q_ring(spec: str):
+    """The --ring of a command that works over Q only: None."""
+    if spec != "Q":
+        raise UsageError(f"--ring {spec!r} is not supported by this command; it takes only Q")
+
+
+def _gf_ring(spec: str):
+    """None for --ring Q, else the prime p of GF:p."""
     if spec == "Q":
         return None
-    if not modular:
-        raise UsageError(f"--ring {spec!r} is not supported by this command; it takes only Q")
     digits = spec[3:] if spec.startswith("GF:") else ""
     try:
         prime = digits.isdigit() and _is_prime(int(digits))
@@ -247,7 +257,7 @@ def cmd_sh(args):
     if len(counts) < 2:
         raise UsageError("need at least two counts")
     _degree_guard(sum(counts), args.max_degree)
-    p = args.modulus
+    p = args.ring
     if p is not None:
         if not args.pbw:
             raise UsageError("--ring GF:p shows only the PBW form; add --pbw")
@@ -266,8 +276,8 @@ def cmd_binom(args):
         raise UsageError("--alphabet must be >= 2")
     _degree_guard(args.degree, args.max_degree)
     poly = binomial_ls(args.alphabet, args.degree)
-    if args.modulus is not None:
-        poly = reduce_mod_p(poly, args.modulus)
+    if args.ring is not None:
+        poly = reduce_mod_p(poly, args.ring)
     emit(poly, args.format)
     return 0
 
@@ -277,9 +287,9 @@ def cmd_pbw(args):
     if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
            for c in poly.terms.values()):
         raise UsageError(f"a coefficient has more than {COEFF_DIGITS} digits")
-    if args.modulus is not None:
+    if args.ring is not None:
         try:
-            poly = reduce_mod_p(poly, args.modulus)
+            poly = reduce_mod_p(poly, args.ring)
         except ZeroDivisionError as e:
             raise UsageError(str(e))
     emit(poly, args.format)
@@ -412,103 +422,158 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-# -- argument wiring ---------------------------------------------------------
+# -- argument table ----------------------------------------------------------
+# Each command maps to (function, help, arguments).  An argument maps its name
+# to (kind, default, help): a name without dashes is a positional, filled in
+# order.  A kind is a reader of one string (``int``, ``str``, a ring reader), a
+# tuple of choices, or ``bool`` for a flag that takes no value.  A default of
+# REQUIRED marks an argument that must be given; a string default is read as a
+# given value would be.
 
-def _add_common(sp, modular=False):
-    sp.add_argument("--ring", default="Q", help="Q or GF:p (p prime)" if modular else "Q")
-    sp.add_argument("--format", default="text", choices=["text", "latex", "json"])
-    sp.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_CAP)
-    sp.set_defaults(modular=modular)
+REQUIRED = object()
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ncbinom",
-        description="Exact noncommutative binomial expansions in the "
-                    "Lyndon-Shirshov PBW basis")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common(modular=False):
+    """--ring, --format and --max-degree; --ring reads to the prime p of GF:p,
+    which only a ``modular`` command takes, or to None for Q."""
+    return {"--ring": (_gf_ring, "Q", "Q or GF:p (p prime)") if modular else (_q_ring, "Q", "Q"),
+            "--format": (("text", "latex", "json"), "text", None),
+            "--max-degree": (int, DEFAULT_DEGREE_CAP, None)}
 
-    sp = sub.add_parser("lyndon", help="enumerate Lyndon words")
-    sp.add_argument("--alphabet", type=int, default=2)
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.set_defaults(fn=cmd_lyndon)
 
-    sp = sub.add_parser("factorize", help="Chen-Fox-Lyndon and standard factorization")
-    sp.add_argument("--word", required=True)
-    sp.add_argument("--alphabet", type=int, default=2)
-    sp.set_defaults(fn=cmd_factorize)
+COMMANDS = {
+    "lyndon": (cmd_lyndon, "enumerate Lyndon words",
+               {"--alphabet": (int, 2, None), "--max-len": (int, REQUIRED, None)}),
+    "factorize": (cmd_factorize, "Chen-Fox-Lyndon and standard factorization",
+                  {"--word": (str, REQUIRED, None), "--alphabet": (int, 2, None)}),
+    "sh": (cmd_sh, "shuffle type polynomial", {
+        "--degree": (str, REQUIRED, "letter counts i,j[,k...]"),
+        "--pbw": (bool, False, "emit in the PBW basis"), **_common(modular=True)}),
+    "binom": (cmd_binom, "full multinomial expansion in the PBW basis", {
+        "--alphabet": (int, 2, None), "--degree": (int, REQUIRED, None),
+        **_common(modular=True)}),
+    "pbw": (cmd_pbw, "rewrite a word-basis expression into the PBW basis", {
+        "--expr": (str, REQUIRED, 'e.g. "2*E(21)+E(12)" or "(E(1)+E(2))^3"'),
+        "--alphabet": (int, 2, None), **_common(modular=True)}),
+    "bell": (cmd_bell, "partial Bell differential polynomials (PBW basis)", {
+        "--n": (int, REQUIRED, None), "--k": (int, None, None), "--dual": (bool, False, None),
+        **_common()}),
+    "qbell": (cmd_qbell, "q-Bell differential polynomials over Q[q]", {
+        "--n": (int, REQUIRED, None), "--k": (int, None, None), **_common()}),
+    "quotient": (cmd_quotient, "structured quotient expansions", {
+        "model": (tuple(_QUOTIENT_OPTIONS), REQUIRED, None),
+        "--d": (int, None, None), "--n": (int, None, None), "--k": (int, None, None),
+        "--set": (str, None, "comma-separated Lyndon generators to kill"),
+        "--expr": (str, None, None), "--alphabet": (int, None, None), **_common()}),
+    "ore": (cmd_ore, "binomial coefficients for xy = sigma(y)x + delta(y)", {
+        "--n": (int, REQUIRED, None), "--sigma": (("id", "grading"), None, None),
+        "--sigma-spec": (str, None, "JSON file with generator images"),
+        "--delta-spec": (str, None, "JSON file with generator images"), **_common()}),
+    "verify": (cmd_verify, "run identity verification suites", {
+        "suite": (str, "all", f"{', '.join(sorted(verify.SUITES))} or all"),
+        "--max-degree": (int, 6, None)}),
+}
 
-    sp = sub.add_parser("sh", help="shuffle type polynomial")
-    sp.add_argument("--degree", required=True, help="letter counts i,j[,k...]")
-    sp.add_argument("--pbw", action="store_true", help="emit in the PBW basis")
-    _add_common(sp, modular=True)
-    sp.set_defaults(fn=cmd_sh)
 
-    sp = sub.add_parser("binom", help="full multinomial expansion in the PBW basis")
-    sp.add_argument("--alphabet", type=int, default=2)
-    sp.add_argument("--degree", type=int, required=True)
-    _add_common(sp, modular=True)
-    sp.set_defaults(fn=cmd_binom)
+def _read(name, kind, value):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}")
 
-    sp = sub.add_parser("pbw", help="rewrite a word-basis expression into the PBW basis")
-    sp.add_argument("--expr", required=True,
-                    help="e.g. \"2*E(21)+E(12)\" or \"(E(1)+E(2))^3\"")
-    sp.add_argument("--alphabet", type=int, default=2)
-    _add_common(sp, modular=True)
-    sp.set_defaults(fn=cmd_pbw)
 
-    sp = sub.add_parser("bell", help="partial Bell differential polynomials (PBW basis)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--dual", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_bell)
+def _parse_args(argv):
+    """The arguments of a command line, with the command's function as
+    ``fn``; or None once help is printed."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        print(_help())
+        return None
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    fn, _, specs = COMMANDS[argv[0]]
+    values = {name: kind(default) if isinstance(default, str) and callable(kind) else default
+              for name, (kind, default, _) in specs.items()}
+    positionals = [name for name in specs if not name.startswith("-")]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-h":
+            token = "--help"
+        if not token.startswith("--"):
+            if not positionals:
+                raise UsageError(f"unrecognized arguments: {token}")
+            name = positionals.pop(0)
+            values[name] = _read(name, specs[name][0], token)
+            continue
+        flag, eq, value = token.partition("=")
+        # an exact name first, then a unique prefix of one
+        found = [flag] if flag in specs else [
+            name for name in (*specs, "--help") if len(flag) > 2 and name.startswith(flag)]
+        if len(found) != 1:
+            raise UsageError(f"ambiguous option: {flag} could match {', '.join(found)}"
+                             if found else f"unrecognized arguments: {token}")
+        flag = found[0]
+        if flag == "--help":
+            print(_help(argv[0]))
+            return None
+        kind = specs[flag][0]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        values[flag] = _read(flag, kind, value)
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    args = types.SimpleNamespace(fn=fn, **{name.lstrip("-").replace("-", "_"): value
+                                           for name, value in values.items()})
+    _check_bounds(args)
+    return args
 
-    sp = sub.add_parser("qbell", help="q-Bell differential polynomials over Q[q]")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_qbell)
 
-    sp = sub.add_parser("quotient", help="structured quotient expansions")
-    sp.add_argument("model", choices=list(_QUOTIENT_OPTIONS))
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--set", help="comma-separated Lyndon generators to kill")
-    sp.add_argument("--expr")
-    sp.add_argument("--alphabet", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_quotient)
-
-    sp = sub.add_parser("ore", help="binomial coefficients for xy = sigma(y)x + delta(y)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sigma", choices=["id", "grading"])
-    sp.add_argument("--sigma-spec", help="JSON file with generator images")
-    sp.add_argument("--delta-spec", help="JSON file with generator images")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_ore)
-
-    sp = sub.add_parser("verify", help="run identity verification suites")
-    sp.add_argument("suite", nargs="?", default="all")
-    sp.add_argument("--max-degree", type=int, default=6)
-    sp.set_defaults(fn=cmd_verify)
-
-    return ap
+def _help(command=None):
+    """The usage of one command, or of them all, from ``COMMANDS``."""
+    if command is None:
+        lines = ["usage: ncbinom COMMAND [options]", "",
+                 "Exact noncommutative binomial expansions in the Lyndon-Shirshov PBW basis.",
+                 "", "commands:"]
+        lines += [f"  {name:<10} {about}" for name, (_, about, _) in COMMANDS.items()]
+        lines += ["", "Run 'ncbinom COMMAND --help' for the options of one command."]
+        return "\n".join(lines)
+    _, about, specs = COMMANDS[command]
+    heads, notes, usage = [], [], [f"usage: ncbinom {command}"]
+    for name, (kind, default, text) in specs.items():
+        var = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+               else name.lstrip("-").replace("-", "_").upper())
+        positional = not name.startswith("-")
+        if positional:
+            usage.append(var if default is REQUIRED else f"[{var}]")
+        heads.append(var if positional else name if kind is bool else f"{name} {var}")
+        note = ("(required)" if default is REQUIRED
+                else f"(default: {default})" if default not in (None, False) else "")
+        notes.append(" ".join(filter(None, (text, note))))
+    heads.append("-h, --help")
+    notes.append("show this help and exit")
+    width = max(map(len, heads))
+    return "\n".join([" ".join(usage + ["[options]"]), "", about, "", "arguments:"]
+                     + [f"  {head:<{width}}  {note}".rstrip() for head, note in zip(heads, notes)])
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        # argparse 3.10-3.12 parses ``--opt=--`` as an empty list
-        for name, value in vars(args).items():
-            if isinstance(value, list):
-                raise UsageError(f"--{name.replace('_', '-')} expects one value")
-        _check_bounds(args)
-        if hasattr(args, "ring"):
-            args.modulus = _parse_ring(args.ring, args.modular)
-        code = args.fn(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = args.fn(args) if args else 0
         # a closed pipe shows here, not in the interpreter's flush at exit
         sys.stdout.flush()
         return code

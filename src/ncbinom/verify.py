@@ -6,7 +6,6 @@ These back the `verify` CLI subcommand; the test suite calls them too.
 
 from __future__ import annotations
 
-import importlib.resources
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -23,6 +22,7 @@ from .words import lyndon_enumerate
 
 def verify_appendix():
     """Golden-file diff of the stored degree 5-7 shuffle tables."""
+    import importlib.resources
     import json
     data = json.loads(
         importlib.resources.files("ncbinom").joinpath("data/appendix.json").read_text())

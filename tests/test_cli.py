@@ -336,6 +336,16 @@ class TestExitCodes:
         ("quotient", "kill", "--set", "[1,2", "--expr", "(E(1)+E(2))^3"),
         ("pbw", "--alphabet", "10", "--expr", "E([1,11])"),
         ("pbw", "--alphabet", "10", "--expr", "E([1,,2])"),
+        # errors in the command line itself
+        (),
+        ("bogus",),
+        ("binom",),
+        ("binom", "--degree", "x"),
+        ("binom", "--degree", "2", "--format", "pdf"),
+        ("binom", "--degree", "2", "--bogus"),
+        ("quotient",),
+        ("quotient", "nope", "--d", "2"),
+        ("lyndon", "--max-len", "2", "extra"),
     ])
     def test_domain_errors_are_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -383,12 +393,7 @@ class TestExitCodes:
         ("ore", "--n", "2", "--delta-spec=--"),
     ])
     def test_double_dash_option_value_is_refused(self, capsys, argv):
-        # argparse 3.10-3.12 parses --opt=-- as an empty list
-        try:
-            code, out, err = run(capsys, *argv)
-        except SystemExit as e:
-            captured = capsys.readouterr()
-            code, out, err = e.code, captured.out, captured.err
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1, err
 
@@ -521,6 +526,73 @@ class TestExitCodes:
             main(["binom", "--degree", "2"])
 
 
+# help strings the help output must keep, beside every flag of each command
+_COMMAND_HELP = {
+    "lyndon": "enumerate Lyndon words",
+    "factorize": "Chen-Fox-Lyndon and standard factorization",
+    "sh": "shuffle type polynomial",
+    "binom": "full multinomial expansion in the PBW basis",
+    "pbw": "rewrite a word-basis expression into the PBW basis",
+    "bell": "partial Bell differential polynomials (PBW basis)",
+    "qbell": "q-Bell differential polynomials over Q[q]",
+    "quotient": "structured quotient expansions",
+    "ore": "binomial coefficients for xy = sigma(y)x + delta(y)",
+    "verify": "run identity verification suites",
+}
+_OPTION_HELP = {
+    "sh": ["letter counts i,j[,k...]", "emit in the PBW basis", "Q or GF:p (p prime)"],
+    "binom": ["Q or GF:p (p prime)"],
+    "pbw": ['e.g. "2*E(21)+E(12)" or "(E(1)+E(2))^3"', "Q or GF:p (p prime)"],
+    "quotient": ["comma-separated Lyndon generators to kill",
+                 "weyl", "blumen", "qcomm-bell", "kill"],
+    "ore": ["JSON file with generator images", "id", "grading"],
+    "verify": sorted(verify.SUITES),
+}
+
+
+class TestHelpAndOptionForms:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_names_every_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for command, about in _COMMAND_HELP.items():
+            assert f"  {command} " in out and about in out
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_HELP))
+    def test_command_help_names_every_flag(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert _COMMAND_HELP[command] in out
+        required, optional = _FLAGS[command]
+        for flag in required + optional + _OPTION_HELP.get(command, []):
+            assert flag in out, flag
+        assert run(capsys, command, "-h") == (0, out, "")
+
+    @pytest.mark.parametrize("plain, other", [
+        (("binom", "--degree", "3"), ("binom", "--degree=3")),
+        (("binom", "--degree", "3"), ("binom", "--deg", "3")),
+        (("binom", "--degree", "3"), ("binom", "--deg=3")),
+        (("binom", "--degree", "3"), ("binom", "--degree", "5", "--degree", "3")),
+        (("sh", "--degree", "2,3", "--pbw", "--format", "json"),
+         ("sh", "--deg=2,3", "--pb", "--form", "latex", "--format=json")),
+        (("quotient", "weyl", "--d", "3"), ("quotient", "--d=3", "weyl")),
+        (("bell", "--n", "4", "--dual"), ("bell", "--du", "--n=4")),
+        (("ore", "--n", "3", "--sigma", "grading"), ("ore", "--n", "3", "--sigma=grading")),
+        (("verify", "pbw", "--max-degree", "3"), ("verify", "pbw", "--max=3")),
+        # a value may begin with a dash, spelled either way
+        (("pbw", "--expr", "-E(1)"), ("pbw", "--expr=-E(1)")),
+    ])
+    def test_option_spellings_give_the_same_bytes(self, capsys, plain, other):
+        want = run(capsys, *plain)
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, *other) == want
+
+    def test_ambiguous_prefix_is_one_line(self, capsys):
+        code, out, err = run(capsys, "ore", "--n", "2", "--sig", "id")
+        assert (code, out) == (2, "")
+        assert err == "error: ambiguous option: --sig could match --sigma, --sigma-spec\n"
+
+
 def _cli_env():
     return dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
 
@@ -548,6 +620,20 @@ class TestFreshProcess:
                                "import ncbinom.cli, sys; print('json' in sys.modules)"],
                               env=_cli_env(), capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_importing_the_cli_loads_no_parser_or_resource_machinery(self):
+        # the tracer resolves its spans through sys.modules, so the package's
+        # modules stay imported at start-up
+        script = ("import ncbinom.cli, sys\n"
+                  "for name in ('argparse', 'gettext', 'importlib.resources', 'ncbinom.qsigma',"
+                  " 'ncbinom.quotients', 'ncbinom.verify'):\n"
+                  "    print(name, name in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script],
+                              env=_cli_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split("\n") == [
+            "argparse False", "gettext False", "importlib.resources False",
+            "ncbinom.qsigma True", "ncbinom.quotients True", "ncbinom.verify True", ""]
 
     @pytest.mark.parametrize("fmt, loaded", [("text", False), ("latex", False), ("json", True)])
     def test_json_loads_only_for_json_output(self, fmt, loaded):
@@ -630,9 +716,6 @@ class TestFuzz:
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
+            code = main(argv)
         assert code in (0, 1, 2), (argv, code)
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()
