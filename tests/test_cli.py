@@ -645,6 +645,18 @@ class TestFreshProcess:
         assert done.stderr == f"0 {loaded}\n"
         assert "122" in done.stdout
 
+    @pytest.mark.parametrize("argv", [["verify", "appendix"],
+                                      ["verify", "all", "--max-degree", "4"]])
+    def test_verify_loads_no_json_or_resource_machinery(self, argv):
+        script = ("import sys\nfrom ncbinom.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, 'json' in sys.modules, 'importlib.resources' in sys.modules,"
+                  " file=sys.stderr)\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=_cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.stderr == "0 False False\n"
+        assert "appendix: PASS (21 tables identical)\n" in done.stdout
+
 
 class TestJsonPipeline:
     def test_emit_parse_identity_random(self):
