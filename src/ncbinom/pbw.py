@@ -12,7 +12,8 @@ the elimination goes, and a violation raises instead of looping.
 The work is done on coded words.  All words of one homogeneous component
 have the same length n, so a word is coded as the base-(m+1) integer of its
 letters, and lex order on the words is numeric order on the codes.
-``_basis_codes`` builds E_alpha by the bracket recursion.  A monomial's
+``_bracket_codes`` builds E_alpha by the bracket recursion, reading the
+children through a given lookup, and ``_basis_codes`` caches it.  A monomial's
 expansion is the product of its factors' basis codes: each factor sits at a
 fixed position, so a word of the product is coded by the sum of its factors'
 codes, each shifted by a fixed power of m+1.  ``_factor_parts`` folds the
@@ -21,10 +22,13 @@ a short list of (base, coefficient) pairs; ``pbw_rewrite`` streams the
 largest factor against those pairs straight into the component, and
 ``_expansion_codes`` collects the same product into a dict.  The
 elimination caches no expansion, and only the basis elements it reads
-again.  A Lyndon word of a component's full length n lies in that component
-only and is eliminated once, so its E_alpha is built from the cached
-children and not stored: a rewrite of (x+y)^10 caches the 127 binary basis
-elements of length <= 9 and none of the 99 of length 10.
+many times.  In a component of length n, a Lyndon word of length n is read
+once, when it is eliminated, and one of length n - 1 a few times: as the
+factor of the one monomial it makes with a letter, and as a child of at most
+two words of length n.  So E_alpha of those two top lengths is built from
+its children each time and not stored, which drops two thirds of the cache
+for a few rebuilds: a rewrite of (x+y)^10 caches the 71 binary basis
+elements of length <= 8 and none of the 56 of length 9 or 99 of length 10.
 ``ls_basis_element`` and ``pbw_expand_monomial`` keep every E_alpha cached,
 decode the codes into ``FreePoly`` and cache that for their other callers.
 """
@@ -85,13 +89,13 @@ def _decoded(codes: dict, n: int, m: int) -> FreePoly:
     return FreePoly._make({_decode(k, n, m): c for k, c in codes.items()}, m)
 
 
-@lru_cache(maxsize=None)
-def _basis_codes(alpha: Word, m: int) -> dict:
-    """E_alpha as {code: coefficient}, by [E_beta, E_gamma] at st(alpha)."""
+def _bracket_codes(alpha: Word, m: int, basis) -> dict:
+    """E_alpha as {code: coefficient}, by [E_beta, E_gamma] at st(alpha),
+    with the children read through ``basis(word, m)``."""
     if len(alpha) == 1:
         return {alpha[0]: 1}
     beta, gamma = standard_factorization(alpha)
-    left, right = _basis_codes(beta, m), _basis_codes(gamma, m)
+    left, right = basis(beta, m), basis(gamma, m)
     lshift, rshift = (m + 1) ** len(beta), (m + 1) ** len(gamma)
     codes = {u * rshift + v: a * b for u, a in left.items() for v, b in right.items()}
     for v, b in right.items():
@@ -105,12 +109,19 @@ def _basis_codes(alpha: Word, m: int) -> dict:
     return codes
 
 
+@lru_cache(maxsize=None)
+def _basis_codes(alpha: Word, m: int) -> dict:
+    """E_alpha as {code: coefficient}, its children cached too."""
+    return _bracket_codes(alpha, m, _basis_codes)
+
+
 _UNIT = {0: 1}  # the expansion of the empty product; read, never written
 
 
-def _factor_parts(mono: PBWMonomial, m: int):
+def _factor_parts(mono: PBWMonomial, m: int, basis=_basis_codes):
     """The expansion of a monomial as (pairs, shift, codes): the sum over
     (b, c) in pairs and (u, a) in codes.items() of c*a at code b + u*shift.
+    The factors' basis elements are read through ``basis(word, m)``.
 
     Every factor sits at a fixed position, so the codes of its words shift
     by a fixed power and the keys of the product add.  Letters fold into the
@@ -126,7 +137,7 @@ def _factor_parts(mono: PBWMonomial, m: int):
             base += alpha[0] * shift * (run - 1) // m
             shift *= run
         else:
-            codes, step = _basis_codes(alpha, m), m1 ** len(alpha)
+            codes, step = basis(alpha, m), m1 ** len(alpha)
             for _ in range(t):
                 factors.append((shift, codes))
                 shift *= step
@@ -248,9 +259,10 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     one left.  A least word that keeps a coefficient, or a word that comes in
     at or below an eliminated one, raises ``ArithmeticError``.
 
-    Only what is read again is kept.  A Lyndon word of length n is
-    eliminated once, so its basis element is built uncached by
-    ``_basis_codes.__wrapped__``; shorter factors recur and stay cached.
+    Only what is read many times is kept.  A component's Lyndon words of
+    length n and n - 1 are read once and a few times, so their basis
+    elements are built from their children and not stored; shorter factors
+    recur and stay cached.
     Equal (word, exponent) factors of the result are one object, and the
     input is dropped once its words are coded.
     """
@@ -269,6 +281,12 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     del f  # coded into the components; nothing reads it again
     out = {}
     shared = {}  # one object per (word, exponent) factor of the result
+
+    def basis(alpha, m):  # E_alpha, cached only below the component's two top lengths
+        if len(alpha) <= n - 2:
+            return _basis_codes(alpha, m)
+        return _bracket_codes(alpha, m, basis)
+
     for counts, comp in components.items():
         n = sum(counts)
         get = comp.get
@@ -288,10 +306,7 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
             last = k
             mono = tuple([shared.setdefault(factor, factor) for factor in monomial_from_word(w)])
             out[mono] = c
-            if len(mono) == 1 and mono[0][1] == 1:  # w is Lyndon: read once, not cached
-                pairs, shift, codes = ((0, 1),), 1, _basis_codes.__wrapped__(w, m)
-            else:
-                pairs, shift, codes = _factor_parts(mono, m)
+            pairs, shift, codes = _factor_parts(mono, m, basis)
             for b, d in pairs:
                 d *= c
                 for u, a in codes.items():

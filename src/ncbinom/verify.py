@@ -28,7 +28,11 @@ def verify_appendix():
     a time."""
     # line i is "<n> <k>,<j>: <text>" for the i-th SH_{k,j} with n = 5, 6, 7
     # and k rising; a byte that is not UTF-8 reads as U+FFFD and fails
-    with open(APPENDIX, encoding="utf-8", errors="replace") as lines:
+    try:
+        lines = open(APPENDIX, encoding="utf-8", errors="replace")
+    except OSError as e:
+        return False, f"cannot open {APPENDIX!r}: {e.strerror}"
+    with lines:
         for i, (n, k) in enumerate([(n, k) for n in (5, 6, 7) for k in range(n + 1)], 1):
             want = f"{n} {k},{n - k}: {sh_closed_form((k, n - k), 2)}"
             if next(lines, "").rstrip("\n") != want:

@@ -1,7 +1,7 @@
 """The golden shuffle tables of ``verify appendix``: the stored text against
-the word-basis definition, a doctored golden file or a planted coefficient
-fault as a FAIL line (plain and under -O), and the file's place in the
-package data."""
+the word-basis definition, a doctored or missing golden file or a planted
+coefficient fault as a FAIL line (plain and under -O), and the file's place
+in the package data."""
 
 import fnmatch
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncbinom import verify
+from ncbinom import cli, verify
 from ncbinom.cli import parse_expression
 from ncbinom.pbw import pbw_expand_monomial
 from ncbinom.shuffle import sh_word
@@ -93,6 +93,34 @@ class TestDoctoredGoldenFails:
                                   + [line.encode() for line in lines[1:]]))
         monkeypatch.setattr(verify, "APPENDIX", str(path))
         assert verify.run_suite("appendix") == (False, "mismatch at n=5, SH_{0,5}")
+
+
+def _assert_missing_golden_verdicts(suite, code, out, err, missing):
+    """``verify <suite> --max-degree 2`` with no golden file: a one-line
+    appendix FAIL naming the path, every other suite's PASS line after it,
+    exit code 1, no traceback."""
+    assert (code, err) == (1, ""), err
+    verdicts = dict(line.split(": ", 1) for line in out.splitlines())
+    assert verdicts.pop("appendix") == f"FAIL (cannot open {missing!r}: No such file or directory)"
+    others = sorted(verify.SUITES.keys() - {"appendix"}) if suite == "all" else []
+    assert sorted(verdicts) == others
+    assert all(v.startswith("PASS (") for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("suite", ["appendix", "all"])
+class TestMissingGoldenFails:
+    def test_plain(self, monkeypatch, capsys, tmp_path, suite):
+        missing = str(tmp_path / "appendix.txt")
+        monkeypatch.setattr(verify, "APPENDIX", missing)
+        code = cli.main(["verify", suite, "--max-degree", "2"])
+        _assert_missing_golden_verdicts(suite, code, *capsys.readouterr(), missing)
+
+    def test_under_O(self, verify_under_O, tmp_path, suite):
+        missing = str(tmp_path / "appendix.txt")
+        done = verify_under_O(suite, f"from ncbinom import verify\nverify.APPENDIX = {missing!r}\n",
+                              "--max-degree", "2")
+        _assert_missing_golden_verdicts(suite, done.returncode, done.stdout.decode(),
+                                        done.stderr.decode(), missing)
 
 
 # SH_{2,3} gains 1 on the coefficient of its first PBW monomial

@@ -322,17 +322,19 @@ class TestCodedEngine:
         filled = {f"{c.__module__}.{c.__qualname__}": c.cache_info().currsize
                   for c in caches.values() if c.cache_info().currsize}
         assert filled.keys() == {"ncbinom.pbw._basis_codes"}, filled
-        assert filled["ncbinom.pbw._basis_codes"] <= len(lyndon_enumerate(2, 8)) == 71
+        assert filled["ncbinom.pbw._basis_codes"] <= len(lyndon_enumerate(2, 6)) == 23
 
     def test_rewrite_leaves_top_degree_basis_elements_uncached(self):
-        # a Lyndon word of the input's full degree is eliminated once, so
-        # only the words of length <= 9 that serve as children stay cached
+        # a Lyndon word of the input's full degree is eliminated once and one
+        # of the degree below is read a few times, so only the words of
+        # length <= 8 stay cached
         pbw._basis_codes.cache_clear()
         x, y = FreePoly.letter(1), FreePoly.letter(2)
         pbw_rewrite((x + y) ** 10)
-        assert pbw._basis_codes.cache_info().currsize == len(lyndon_enumerate(2, 9)) == 127
-        top = [w for w in lyndon_enumerate(2, 10) if len(w) == 10]
-        assert len(top) == 99
+        assert pbw._basis_codes.cache_info().currsize == len(lyndon_enumerate(2, 8)) == 71
+        # shortest first, so that each word's children are cached before it
+        top = sorted((w for w in lyndon_enumerate(2, 10) if len(w) >= 9), key=len)
+        assert sum(len(w) == 9 for w in top) == 56 and len(top) == 56 + 99
         for alpha in top:
             misses = pbw._basis_codes.cache_info().misses
             pbw._basis_codes(alpha, 2)
@@ -349,6 +351,19 @@ class TestCodedEngine:
             for factor in mono:
                 assert first.setdefault(factor, factor) is factor, factor
         assert any(len(mono) > 1 for mono in got.terms)
+
+    def test_rewrite_of_mixed_degrees_caches_below_each_top(self):
+        # components of degree 8, 6 and 2, each with its own two top lengths:
+        # only words of length <= 6 are cached, and the rewrite is still the
+        # expansion's inverse
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        f = (x + y) ** 8 + (x - y) ** 5 * (x + y) + x * (y + x)
+        pbw._basis_codes.cache_clear()
+        got = pbw_rewrite(f)
+        assert pbw._basis_codes.cache_info().currsize == len(lyndon_enumerate(2, 6)) == 23
+        assert pbw_expand(got) == f
+        assert pbw_rewrite(pbw_expand(got)) == got
+        pbw._basis_codes.cache_clear()
 
     def test_rewrite_roundtrip_with_two_digit_letters(self):
         # m = 12: letters 10..12 are two decimal digits, the codes are base 13
@@ -508,38 +523,35 @@ class TestCommutatorLS:
 # E_12 = 2*12 - 21 in base-3 codes (12 -> 5, 21 -> 7)
 _NON_UNIT_E12 = {5: 2, 7: -1}
 
-# Each plant below replaces ``pbw._basis_codes``.  The rewrite builds a
-# Lyndon word of a component's full length by ``_basis_codes.__wrapped__``,
-# uncached; the first two plants set ``__wrapped__`` to themselves, so the
-# planted E_alpha is what that word reads too.
+# Each plant below replaces ``pbw._bracket_codes``, the one build of E_alpha,
+# which the cached ``_basis_codes`` and the rewrite's uncached top lengths
+# both reach.  The plants run in a fresh interpreter, or after the caches
+# are cleared, so no E_alpha was built before them.
 
 _PLANT_NON_UNIT_E12 = (
-    "orig = pbw._basis_codes\n"
-    f"pbw._basis_codes = lambda alpha, m: {_NON_UNIT_E12!r} if alpha == (1, 2) else orig(alpha, m)\n"
-    "pbw._basis_codes.__wrapped__ = pbw._basis_codes\n")
+    "orig = pbw._bracket_codes\n"
+    "pbw._bracket_codes = lambda alpha, m, basis: "
+    f"{_NON_UNIT_E12!r} if alpha == (1, 2) else orig(alpha, m, basis)\n")
 
 _PLANT_LOW_WORD_E11212 = (
-    "orig = pbw._basis_codes\n"
-    "def planted(alpha, m):\n"
-    "    codes = orig(alpha, m)\n"
+    "orig = pbw._bracket_codes\n"
+    "def planted(alpha, m, basis):\n"
+    "    codes = orig(alpha, m, basis)\n"
     "    if alpha == (1, 1, 2, 1, 2):\n"
-    "        codes = dict(codes)\n"
     "        codes[pbw._code((1, 1, 1, 2, 2), 2)] = 1\n"
     "    return codes\n"
-    "planted.__wrapped__ = planted\n"
-    "pbw._basis_codes = planted\n")
+    "pbw._bracket_codes = planted\n")
 
 
 def _plant_child(child, codes, top):
     """A fault in a child of ``top`` only: ``top`` itself is built by the
-    real uncached build, and asking the cache for it exits with code 5."""
-    return ("orig = pbw._basis_codes\n"
-            "def planted(alpha, m):\n"
-            f"    if alpha == {top!r}:\n"
+    real build, and building it for the cache exits with code 5."""
+    return ("orig = pbw._bracket_codes\n"
+            "def planted(alpha, m, basis):\n"
+            f"    if alpha == {top!r} and basis is pbw._basis_codes:\n"
             "        raise SystemExit(5)\n"
-            f"    return {codes!r} if alpha == {child!r} else orig(alpha, m)\n"
-            "planted.__wrapped__ = orig.__wrapped__\n"
-            "pbw._basis_codes = planted\n")
+            f"    return {codes!r} if alpha == {child!r} else orig(alpha, m, basis)\n"
+            "pbw._bracket_codes = planted\n")
 
 
 # E_112 = [E_1, E_12] read with E_12 = 2*12 - 21: its least word 112 has coefficient 2
@@ -551,7 +563,7 @@ _PLANT_LOW_CHILD = _plant_child((1, 1, 2), {14: 1, 16: -2, 22: 1, 13: 1}, (1, 1,
 
 def _rewrite_with_planted_basis(flags, plant, word):
     """Rewrite one word in a fresh interpreter after ``plant`` has patched
-    ``pbw._basis_codes``; exit code 3 means ArithmeticError naming the word.
+    ``pbw._bracket_codes``; exit code 3 means ArithmeticError naming the word.
     The timeout fails the test if the elimination loops."""
     script = ("from ncbinom import pbw\n"
               "from ncbinom.freepoly import FreePoly\n"
@@ -585,12 +597,11 @@ class TestErrors:
 
     def test_non_triangular_expansion_raises(self, monkeypatch):
         # E_12 planted as 2*12 - 21: its least word no longer has coefficient 1
-        orig = pbw._basis_codes
+        orig = pbw._bracket_codes
 
-        def planted(alpha, m):
-            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m)
-        planted.__wrapped__ = planted
-        monkeypatch.setattr(pbw, "_basis_codes", planted)
+        def planted(alpha, m, basis):
+            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m, basis)
+        monkeypatch.setattr(pbw, "_bracket_codes", planted)
         with pytest.raises(ArithmeticError, match=r"\(1, 2\)"):
             pbw_rewrite(FreePoly.word((1, 2)))
 
@@ -601,14 +612,14 @@ class TestErrors:
     def test_verify_reports_a_non_triangular_basis(self, monkeypatch, capsys):
         # the rewrite's ArithmeticError is the FAIL line of each suite that
         # rewrites, and the suites after it still run
-        orig = pbw._basis_codes
+        orig = pbw._bracket_codes
 
-        def planted(alpha, m):
-            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m)
-        planted.__wrapped__ = planted
+        def planted(alpha, m, basis):
+            return _NON_UNIT_E12 if alpha == (1, 2) else orig(alpha, m, basis)
+        ncbinom.clear_caches()  # so that no E_alpha predates the plant
         try:
             with monkeypatch.context() as mp:
-                mp.setattr(pbw, "_basis_codes", planted)
+                mp.setattr(pbw, "_bracket_codes", planted)
                 code = cli.main(["verify", "all", "--max-degree", "3"])
         finally:
             ncbinom.clear_caches()  # drop what the planted basis left in them
@@ -634,7 +645,8 @@ class TestErrors:
                              ids=["non-unit-child", "low-word-child"])
     def test_uncached_top_word_keeps_both_checks(self, flags, plant, word):
         # the rewritten word is Lyndon, so its E_alpha is built uncached from
-        # the planted child, and each triangularity check must still fire
+        # the planted child, cached or not, and each triangularity check must
+        # still fire
         done = _rewrite_with_planted_basis(flags, plant, word)
         assert done.returncode == 3, done.stderr.decode()
 
