@@ -4,6 +4,8 @@ differential polynomials and their q- and sigma-deformations.
 """
 
 import sys
+from functools import lru_cache
+from types import FunctionType
 
 from .freepoly import FreePoly, commutator, shuffle_product
 from .pbw import PBWPoly, commutator_ls, pbw_expand, pbw_rewrite
@@ -24,12 +26,16 @@ __all__ = [
 def clear_caches():
     """Empty every functools cache held in a module global of the package.
 
-    A global wrapped once by ``functools.wraps`` (a tracer's timer) is looked
-    through to its ``__wrapped__``; only one level, since a test double may
-    set ``__wrapped__`` to itself."""
+    A global function wrapped once by ``functools.wraps`` (a tracer's timer)
+    is looked through to its ``__wrapped__``; only one level, since a test
+    double may set ``__wrapped__`` to itself.  Exact type tests keep it cheap,
+    since ``verify`` calls it before each suite; the cache type is not kept in
+    a global, where it would pass for a cache."""
+    cache_type = type(lru_cache(maxsize=None)(len))
     for name, mod in list(sys.modules.items()):
         if name == __name__ or name.startswith(__name__ + "."):
             for val in vars(mod).values():
-                for obj in (val, getattr(val, "__wrapped__", None)):
-                    if callable(getattr(obj, "cache_clear", None)):
-                        obj.cache_clear()
+                if type(val) is FunctionType:
+                    val = vars(val).get("__wrapped__")
+                if type(val) is cache_type:
+                    val.cache_clear()

@@ -58,7 +58,7 @@ def coeff_from_str(s: str, ring: str):
 
 def _parse_qpoly(s: str) -> QPoly:
     if s == "0":
-        return QPoly.zero()
+        return QPoly()
     coeffs = {}
     for part in s.split(" + "):
         m = _QTERM.match(part.strip())

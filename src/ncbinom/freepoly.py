@@ -1,16 +1,16 @@
 """The free associative algebra on letters 1..m, in the sparse word basis.
 
-Coefficients are duck-typed: int, Fraction, QPoly and ModInt all work, as
-long as both operands of a mixed operation know how to combine.  Zero terms
-are never stored.
+Coefficients are duck-typed: int, Fraction and QPoly all work, as long as
+both operands of a mixed operation know how to combine.  A GF(p) result is
+reduced from the exact one, so its ``ModInt`` coefficients are stored and
+printed but do no arithmetic.  Zero terms are never stored.
 
 The invariant is kept at the boundary and trusted inside.  The public
 constructor drops every zero coefficient it is given; the results of the
 arithmetic here are built by ``_make``, which takes the dict as it is.  A sum
 or difference deletes a key whose coefficient cancels, and a product with a
 one-term factor is built term by term: its keys cannot collide, and over
-Z, Q, GF(p) and Q[q] a product of nonzero coefficients is nonzero (only an
-int multiple of p times a ModInt can vanish, and that case is filtered).
+Z, Q and Q[q] a product of nonzero coefficients is nonzero.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import ModInt, QPoly
+from .rings import QPoly
 from .words import Word, format_word
 
-_SCALARS = (int, Fraction, QPoly, ModInt)
+_SCALARS = (int, Fraction, QPoly)
 
 
 class SparseCombination:
@@ -172,21 +172,19 @@ class FreePoly(SparseCombination):
 
     def __mul__(self, other):
         # the cheap class test first: Fraction in _SCALARS is checked through its ABC
-        if not isinstance(other, FreePoly) and isinstance(other, _SCALARS):
-            return self.scale(other)
+        if not isinstance(other, FreePoly):
+            return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
         self._check(other)
         if len(self.terms) == 1 or len(other.terms) == 1:
             # one factor is a single term: the keys u + v are distinct
-            t = {u + v: a * b for u, a in self.terms.items() for v, b in other.terms.items()}
-            if all(t.values()):
-                return FreePoly._make(t, self.m)
-        else:
-            t = {}
-            for u, a in self.terms.items():
-                for v, b in other.terms.items():
-                    w = u + v
-                    c = a * b
-                    t[w] = t[w] + c if w in t else c
+            return FreePoly._make({u + v: a * b for u, a in self.terms.items()
+                                   for v, b in other.terms.items()}, self.m)
+        t = {}
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                w = u + v
+                c = a * b
+                t[w] = t[w] + c if w in t else c
         return FreePoly(t, self.m)
 
     def __rmul__(self, other):

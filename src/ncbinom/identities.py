@@ -72,12 +72,6 @@ def _normal_order_rows(terms):
     return out
 
 
-def quantum_plane_normal_order(f: FreePoly):
-    """Normal-order a polynomial over {g, h} with relation g h = q h g: a dict
-    (h_count, g_count) -> QPoly, the rational coefficients of f summed."""
-    return _normal_order_rows(f.terms.items())
-
-
 def q_binomial_theorem_check(n: int) -> bool:
     """(x+y)^n = sum_j binom(n,j)_q y^{n-j} x^j in the quantum plane xy = qyx.
 

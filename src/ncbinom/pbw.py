@@ -36,7 +36,7 @@ decode the codes into ``FreePoly`` and cache that for their other callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import lcm
 
@@ -113,6 +113,14 @@ def _bracket_codes(alpha: Word, m: int, basis) -> dict:
 def _basis_codes(alpha: Word, m: int) -> dict:
     """E_alpha as {code: coefficient}, its children cached too."""
     return _bracket_codes(alpha, m, _basis_codes)
+
+
+def _basis_below(n: int, alpha: Word, m: int) -> dict:
+    """E_alpha for a component of length n: cached below its two top lengths
+    and rebuilt from its children at those."""
+    if len(alpha) <= n - 2:
+        return _basis_codes(alpha, m)
+    return _bracket_codes(alpha, m, partial(_basis_below, n))
 
 
 _UNIT = {0: 1}  # the expansion of the empty product; read, never written
@@ -281,14 +289,9 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     del f  # coded into the components; nothing reads it again
     out = {}
     shared = {}  # one object per (word, exponent) factor of the result
-
-    def basis(alpha, m):  # E_alpha, cached only below the component's two top lengths
-        if len(alpha) <= n - 2:
-            return _basis_codes(alpha, m)
-        return _bracket_codes(alpha, m, basis)
-
     for counts, comp in components.items():
         n = sum(counts)
+        basis = partial(_basis_below, n)
         get = comp.get
         heap = list(comp)
         heapify(heap)

@@ -53,7 +53,7 @@ def grading_sigma(f: FreePoly) -> FreePoly:
     """sigma(w) = q^{|w|} w on each word; multiplicative, fixes the unit.
 
     q^{|w|} * c shifts the coefficients of c; a coefficient that is neither
-    a QPoly nor an exact rational (a ModInt, say) raises TypeError.
+    a QPoly nor an exact rational raises TypeError.
     """
     return FreePoly({w: (c if isinstance(c, QPoly) else QPoly.const(c)).shift(len(w))
                      for w, c in f.terms.items()}, f.m)

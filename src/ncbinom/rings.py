@@ -1,12 +1,14 @@
-"""Exact coefficient arithmetic: rationals, prime fields, polynomials in q.
+"""Exact coefficient arithmetic: rationals and polynomials in q; GF(p) values.
 
-Rationals are stdlib ``fractions.Fraction``.  ``ModInt`` gives GF(p) with the
-modulus carried on every element.  ``QPoly`` is a dense univariate polynomial
-in the formal parameter q; it hosts q-integers, q-factorials and Gaussian
-binomials.  Every q-object of the paper lies in Z[q], so ``QPoly`` keeps
-integral coefficients as ``int`` and uses ``Fraction`` only for a coefficient
-that is not an integer (parsed Q[q] input, say).  Floats are refused.
-Everything is immutable and exact.
+Rationals are stdlib ``fractions.Fraction``.  A GF(p) result is the exact
+rational one reduced by ``to_mod_p``, so ``ModInt`` only holds an element of
+GF(p) for output: its value and modulus, equality and printing, and no
+arithmetic.  ``QPoly`` is a dense univariate polynomial in the formal
+parameter q; it hosts q-integers, q-factorials and Gaussian binomials.
+Every q-object of the paper lies in Z[q], so ``QPoly`` keeps integral
+coefficients as ``int`` and uses ``Fraction`` only for a coefficient that is
+not an integer (parsed Q[q] input, say).  Floats are refused.  Everything is
+immutable and exact.
 
 Coefficients are validated at the boundary, not inside the arithmetic.  The
 public ``QPoly`` constructor (and so every parser) normalises each input
@@ -67,7 +69,8 @@ def to_mod_p(c, p: int) -> "ModInt":
 
 
 class ModInt:
-    """An element of GF(p).  Mixing moduli is a construction error."""
+    """An element of GF(p), for output: equal to a ModInt of the same value
+    and modulus or to an int congruent to it; it does no arithmetic."""
 
     __slots__ = ("value", "p")
 
@@ -77,60 +80,12 @@ class ModInt:
         self.value = value % p
         self.p = p
 
-    def _coerce(self, other):
-        if isinstance(other, ModInt):
-            if other.p != self.p:
-                raise ValueError(f"mixing GF({self.p}) with GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.p)
-        if isinstance(other, Fraction):
-            return to_mod_p(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(-self.value, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return ModInt(pow(self.value, n, self.p), self.p)
-
-    def inverse(self) -> "ModInt":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return ModInt(pow(self.value, -1, self.p), self.p)
-
     def __eq__(self, other):
+        if isinstance(other, ModInt):
+            return self.p == other.p and self.value == other.value
         if isinstance(other, int):
             return self.value == other % self.p
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.value == o.value
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.value, self.p))
@@ -197,10 +152,6 @@ class QPoly:
         return _qpoly([_exact_coeff(c)])
 
     @staticmethod
-    def zero() -> "QPoly":
-        return _qpoly([])
-
-    @staticmethod
     def one() -> "QPoly":
         return _qpoly([1])
 
@@ -251,8 +202,6 @@ class QPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if not self.coeffs or not o.coeffs:
-            return QPoly.zero()
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -262,18 +211,6 @@ class QPoly:
         return _qpoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -343,7 +280,7 @@ def q_binomial(n: int, k: int) -> QPoly:
     Total: k > n or k < 0 gives the zero polynomial.
     """
     if k < 0 or k > n:
-        return QPoly.zero()
+        return QPoly()
     if k == 0 or k == n:
         return QPoly.one()
     return q_binomial(n - 1, k - 1) + QPoly.q(k) * q_binomial(n - 1, k)
@@ -358,7 +295,7 @@ def qpoly_exact_div(a: QPoly, b: QPoly) -> QPoly:
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
-        return QPoly.zero()
+        return QPoly()
     rem = list(a.coeffs)
     db = b.degree
     lead = b.coeffs[-1]

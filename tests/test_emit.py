@@ -143,6 +143,8 @@ class TestJson:
         assert emit_json(FreePoly.zero(2))["ring"] == "Q"
         with pytest.raises(TypeError, match="different rings"):
             emit_json(FreePoly({(1,): QPoly((1, 1)), (2,): ModInt(2, 5)}, 2))
+        with pytest.raises(TypeError, match="different rings"):
+            emit_json(FreePoly({(1,): ModInt(1, 5), (2,): ModInt(1, 7)}, 2))
 
     @pytest.mark.parametrize("basis, term", [("word", {"coeff": "1", "word": "07"}),
                                              ("word", {"coeff": "1", "word": "30"}),

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import os
 import pkgutil
@@ -364,6 +365,19 @@ class TestCodedEngine:
         assert pbw_expand(got) == f
         assert pbw_rewrite(pbw_expand(got)) == got
         pbw._basis_codes.cache_clear()
+
+    def test_rewrite_leaves_no_reference_cycle(self):
+        # the per-component basis lookup does not refer to itself, so one
+        # rewrite leaves nothing for the cyclic collector to free
+        x, y = FreePoly.letter(1), FreePoly.letter(2)
+        f = (x + y) ** 8 + (x - y) ** 5 * (x + y)
+        gc.collect()
+        gc.disable()
+        try:
+            pbw_rewrite(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rewrite_roundtrip_with_two_digit_letters(self):
         # m = 12: letters 10..12 are two decimal digits, the codes are base 13

@@ -15,26 +15,33 @@ from ncbinom.rings import (_MR_BOUND, DivisionNotExact, ModInt, QPoly, _is_prime
 
 
 class TestModInt:
-    def test_arithmetic(self):
-        a = ModInt(3, 5)
-        b = ModInt(4, 5)
-        assert a + b == 2
-        assert a * b == 2
-        assert a - b == 4
-        assert (-a) == 2
-        assert a.inverse() * a == 1
+    """GF(p) output is the exact output reduced: a ModInt holds a value for
+    printing and comparison and does no arithmetic."""
 
-    def test_fraction_coercion(self):
-        # 1/2 mod 5 is 3
-        assert ModInt(0, 5) + Fraction(1, 2) == 3
+    def test_equality(self):
+        a = ModInt(3, 5)
+        assert a == ModInt(8, 5) and a == 3 and a == -2 and a != 4
+        assert hash(a) == hash(ModInt(8, 5))
+        assert ModInt(3, 7) != a
+        assert a != Fraction(3)  # not coerced
+        assert not ModInt(5, 5) and ModInt(1, 5)
+
+    def test_arithmetic_is_refused(self):
+        a = ModInt(3, 5)
+        for op in (lambda: a + a, lambda: a - 1, lambda: 1 - a, lambda: -a,
+                   lambda: a * a, lambda: 2 * a, lambda: a * Fraction(1, 2), lambda: a ** 2):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(a, "inverse")
+        f = FreePoly({(1,): a, (2,): ModInt(1, 5)}, 2)
+        for op in (lambda: f * f, lambda: f * FreePoly.letter(1), lambda: f * a,
+                   lambda: a * f, lambda: f.scale(2), lambda: -f, lambda: f - f):
+            with pytest.raises(TypeError):
+                op()
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             ModInt(1, 6)
-
-    def test_modulus_mixing_rejected(self):
-        with pytest.raises(ValueError):
-            ModInt(1, 5) + ModInt(1, 7)
 
     def test_modulus_above_certified_bound_rejected(self):
         with pytest.raises(ValueError, match="too large"):
@@ -98,7 +105,7 @@ class TestQPoly:
     def test_basic_arithmetic(self):
         q = QPoly.q()
         assert (1 + q) * (1 - q) == QPoly((1, 0, -1))
-        assert q ** 3 == QPoly.q(3)
+        assert q * q * q == QPoly.q(3)
         assert (q + 1) - q == QPoly.one()
 
     def test_evaluate(self):
@@ -119,7 +126,7 @@ class TestQPoly:
 
 class TestQCombinatorics:
     def test_q_integer(self):
-        assert q_integer(0) == QPoly.zero()
+        assert q_integer(0) == QPoly()
         assert q_integer(3) == QPoly((1, 1, 1))
 
     def test_q_binomial_division_definition(self):
@@ -130,8 +137,8 @@ class TestQCombinatorics:
                 assert lhs == q_factorial(n)
 
     def test_q_binomial_out_of_range(self):
-        assert q_binomial(3, 5) == QPoly.zero()
-        assert q_binomial(3, -1) == QPoly.zero()
+        assert q_binomial(3, 5) == QPoly()
+        assert q_binomial(3, -1) == QPoly()
 
     @given(st.integers(0, 10), st.integers(0, 10))
     def test_q_binomial_symmetry(self, n, k):
@@ -156,7 +163,7 @@ class TestExactDivision:
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            qpoly_exact_div(QPoly.one(), QPoly.zero())
+            qpoly_exact_div(QPoly.one(), QPoly())
 
 
 class TestCyclotomic:
@@ -226,7 +233,7 @@ class TestIntegerCoefficients:
     def test_integral_input_stays_int(self):
         q = QPoly.q()
         a, b = QPoly((3, -1, 2)), QPoly((1, 5))
-        for p in (a + b, a - b, a * b, b ** 5, 2 * a, a + 1, 1 - a, -a,
+        for p in (a + b, a - b, a * b, b * b * b * b * b, 2 * a, a + 1, 1 - a, -a,
                   q_binomial(9, 4), q_factorial(7), cyclotomic(12),
                   qpoly_exact_div(q_factorial(8), q_factorial(3)),
                   qpoly_exact_div(a * b * (q + 7), b), QPoly.const(Fraction(6, 3))):
@@ -293,7 +300,7 @@ class TestScalarPaths:
 
     def _polys(self):
         rng = random.Random(11)
-        yield QPoly.zero()
+        yield QPoly()
         yield QPoly((Fraction(1, 2), 3))
         for _ in range(40):
             yield QPoly(_random_coeffs(rng, rng.randint(0, 5)))
@@ -326,7 +333,7 @@ class TestScalarPaths:
                 got, want = p.shift(k), QPoly.q(k) * p
                 assert got == want and got.coeffs == want.coeffs
                 assert _types(got) == _types(want)
-        assert QPoly.zero().shift(3).coeffs == ()
+        assert QPoly().shift(3).coeffs == ()
         with pytest.raises(ValueError):
             QPoly.one().shift(-1)
 
