@@ -354,8 +354,8 @@ def cmd_quotient(args):
     for w in kill:
         if not is_lyndon(w):
             raise UsageError(f"{format_word(w, m)} is not a Lyndon word")
-    f = parse_expression(args.expr, m, args.max_degree)
-    emit(quotients.kill_project(pbw_rewrite(f), kill), args.format)
+    emit(quotients.kill_project(pbw_rewrite(parse_expression(args.expr, m, args.max_degree)),
+                                kill), args.format)
     return 0
 
 

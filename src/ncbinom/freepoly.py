@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import QPoly
-from .words import Word, format_word
+from .words import Word, content_words, format_word
 
 _SCALARS = (int, Fraction, QPoly)
 
@@ -245,20 +245,11 @@ def shuffle_product(f: FreePoly, g: FreePoly) -> FreePoly:
     return FreePoly(t, f.m)
 
 
-@lru_cache(maxsize=None)
 def sh_multidegree(counts, m: int = None) -> FreePoly:
     """Sum of all words with the given per-letter counts, coefficient 1.
 
-    ``counts[x-1]`` is the multiplicity of letter x.  Built by the recursion
-    peeling one leading letter at a time.
+    ``counts[x-1]`` is the multiplicity of letter x; the words are the walk
+    of ``content_words``, in lex order.
     """
-    if m is None:
-        m = len(counts)
-    if all(c == 0 for c in counts):
-        return FreePoly.unit(m)
-    total = FreePoly.zero(m)
-    for x in range(1, m + 1):
-        if counts[x - 1] > 0:
-            rest = counts[:x - 1] + (counts[x - 1] - 1,) + counts[x:]
-            total = total + FreePoly.letter(x, m) * sh_multidegree(rest, m)
-    return total
+    return FreePoly._make(dict.fromkeys(content_words(counts), 1),
+                          len(counts) if m is None else m)

@@ -42,8 +42,8 @@ from math import lcm
 
 from .freepoly import FreePoly, SparseCombination, commutator
 from .rings import to_mod_p
-from .words import (Word, cfl_factorize, is_lyndon, multidegree,
-                    standard_factorization)
+from .words import (Word, cfl_factorize, content_words, is_lyndon,
+                    multidegree, standard_factorization)
 
 PBWMonomial = tuple  # ((word, exp), ...) with strictly decreasing words
 
@@ -338,25 +338,12 @@ def enumerate_pbw_monomials(m: int, counts):
     """All PBW monomials with the given multidegree (per-letter counts).
 
     By the Chen-Fox-Lyndon theorem, w -> monomial_from_word(w) is a bijection
-    from the words of content ``counts`` onto these monomials.  The words are
-    walked in lex order (next permutation), so the cost is O(output * length).
+    from the words of content ``counts`` onto these monomials, so they are
+    read off ``content_words`` in O(output * length).
     """
     if len(counts) != m or any(c < 0 for c in counts):
         raise ValueError(f"need {m} nonnegative letter counts, got {tuple(counts)}")
-    w = [x for x, c in enumerate(counts, 1) for _ in range(c)]
-    results = []
-    while True:
-        results.append(monomial_from_word(tuple(w)))
-        i = len(w) - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return results
-        j = len(w) - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1:] = reversed(w[i + 1:])
+    return list(map(monomial_from_word, content_words(counts)))
 
 
 def reduce_mod_p(p_poly: PBWPoly, p: int) -> PBWPoly:

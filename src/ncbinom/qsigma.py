@@ -29,11 +29,12 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .freepoly import FreePoly
 from .rings import QPoly, q_binomial
+from .words import content_words
 
 Op = Callable[[FreePoly], FreePoly]
 
@@ -69,26 +70,29 @@ def step(delta: Op, y: FreePoly) -> Op:
     return lambda f: delta(f) + y * f
 
 
+def _word_image(w, memo: dict, images: dict) -> FreePoly:
+    """memo[w], filled as memo[w[:-1]] * images[w[-1]] down to a word in memo."""
+    img = memo.get(w)
+    if img is None:
+        img = memo[w] = _word_image(w[:-1], memo, images) * images[w[-1]]
+    return img
+
+
 def endomorphism(images, m: int = 2) -> Op:
     """Algebra endomorphism given by the images of the generators 1..m.
 
-    The returned phi memoises the image of every word it meets as
-    image(w[:-1]) * image(w[-1:]).  The memo lives in phi's closure, so
-    two endomorphisms never share entries.
+    The returned phi memoises the image of every word it meets, and of each
+    prefix, in a dict of its closure: two endomorphisms never share entries,
+    and nothing in the closure refers back to phi, so it is freed by
+    reference counting alone.
     """
     images = {x: images[x] for x in range(1, m + 1)}
     memo = {(): FreePoly.unit(m)}
 
-    def image(w):
-        img = memo.get(w)
-        if img is None:
-            img = memo[w] = image(w[:-1]) * images[w[-1]]
-        return img
-
     def phi(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
         for w, c in f.terms.items():
-            out = out + image(w).scale(c)
+            out = out + _word_image(w, memo, images).scale(c)
         return out
     return phi
 
@@ -247,11 +251,8 @@ def _bell_words(n: int, coeff, k: int = None) -> FreePoly:
     terms = {}
     for b in range(n - (k or 1) + 1):
         c, tail, length = coeff(b), (2,) + (1,) * b, n - 1 - b
-        if k is None:
-            heads = product((1, 2), repeat=length)
-        else:
-            heads = ([2 if i in ys else 1 for i in range(length)]
-                     for ys in map(set, combinations(range(length), k - 1)))
+        heads = (product((1, 2), repeat=length) if k is None
+                 else content_words((length - k + 1, k - 1)))
         for head in heads:
             terms[(*head, *tail)] = c
     return FreePoly._make(terms, 2)

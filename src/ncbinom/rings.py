@@ -69,8 +69,8 @@ def to_mod_p(c, p: int) -> "ModInt":
 
 
 class ModInt:
-    """An element of GF(p), for output: equal to a ModInt of the same value
-    and modulus or to an int congruent to it; it does no arithmetic."""
+    """An element of GF(p), for output: equal only to a ModInt of the same
+    value and modulus, so equal elements hash alike; it does no arithmetic."""
 
     __slots__ = ("value", "p")
 
@@ -83,8 +83,6 @@ class ModInt:
     def __eq__(self, other):
         if isinstance(other, ModInt):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
         return NotImplemented
 
     def __hash__(self):

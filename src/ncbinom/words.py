@@ -80,6 +80,27 @@ def lyndon_enumerate(m: int, max_len: int):
     return out
 
 
+def content_words(counts):
+    """Every word with ``counts[x-1]`` letters x, once each, in increasing
+    lex order: the next-permutation walk, O(length) per word.  A negative
+    count raises ValueError."""
+    if any(c < 0 for c in counts):
+        raise ValueError(f"negative letter count in {tuple(counts)}")
+    w = [x for x, c in enumerate(counts, 1) for _ in range(c)]
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
+
+
 def multidegree(w: Word, m: int):
     """Per-letter counts of w as a tuple indexed by letter 1..m."""
     counts = [0] * m

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -274,6 +275,26 @@ class TestShuffleTypePolynomials:
                         total = total + (sh_multidegree((t, k - t))
                                          * sh_multidegree((j - t, i - k + t)))
                     assert total == sh_multidegree((j, i))
+
+    @pytest.mark.parametrize("counts", [c for m in range(1, 4)
+                                        for c in itertools.product(range(8), repeat=m)
+                                        if sum(c) <= 7])
+    def test_walk_equals_leading_letter_recursion(self, counts):
+        # the oracle: every word is a leading letter x followed by a word of
+        # the content with one x fewer
+        def by_leading_letter(counts, m):
+            if not any(counts):
+                return FreePoly.unit(m)
+            total = FreePoly.zero(m)
+            for x in range(1, m + 1):
+                if counts[x - 1]:
+                    rest = counts[:x - 1] + (counts[x - 1] - 1,) + counts[x:]
+                    total = total + FreePoly.letter(x, m) * by_leading_letter(rest, m)
+            return total
+        m = len(counts)
+        got = sh_multidegree(counts, m)
+        want = by_leading_letter(counts, m)
+        assert got == want and list(got.terms) == list(want.terms)
 
     def test_ternary_multidegree(self):
         p = sh_multidegree((1, 1, 1), 3)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from math import comb
 
@@ -74,6 +75,18 @@ class TestOperators:
                 assert swap(u) == image_by_letters(swap_images, w), w
                 assert shear(u) == image_by_letters(shear_images, w), w
                 assert swap(u) == image_by_letters(swap_images, w), w
+
+    def test_endomorphism_leaves_no_reference_cycle(self):
+        # the memo is filled by a module function, not by a closure that
+        # calls itself, so an endomorphism and its memo are freed at once
+        f = (X + Y) ** 4
+        gc.collect()
+        gc.disable()
+        try:
+            assert endomorphism({1: Y, 2: X + Y}, 2)(f) == (X + Y + Y) ** 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_generator_images_are_read_eagerly(self):
         for build in (lambda images: endomorphism(images, 2),

@@ -20,8 +20,11 @@ class TestModInt:
 
     def test_equality(self):
         a = ModInt(3, 5)
-        assert a == ModInt(8, 5) and a == 3 and a == -2 and a != 4
+        assert a == ModInt(8, 5) and a != 4
         assert hash(a) == hash(ModInt(8, 5))
+        # equal only to a ModInt, so equality and hashing agree in a set
+        assert a != 3 and 3 != a and a != -2
+        assert len({a, ModInt(8, 5), 3, ModInt(3, 7)}) == 3
         assert ModInt(3, 7) != a
         assert a != Fraction(3)  # not coerced
         assert not ModInt(5, 5) and ModInt(1, 5)

@@ -1,11 +1,20 @@
+from itertools import product
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ncbinom.words import (EmptyWord, NoFactorization, cfl_factorize,
-                           format_word, is_lyndon, lyndon_enumerate,
+                           content_words, format_word, is_lyndon, lyndon_enumerate,
                            multidegree, parse_word, standard_factorization)
 
 words = st.lists(st.integers(1, 2), min_size=1, max_size=10).map(tuple)
+
+
+def small_contents():
+    """Every content over 1 to 3 letters with at most 7 letters in all."""
+    return [counts for m in range(1, 4) for counts in product(range(8), repeat=m)
+            if sum(counts) <= 7]
 
 
 class TestLyndonPredicate:
@@ -91,6 +100,25 @@ class TestEnumeration:
         out = lyndon_enumerate(3, 4)
         assert out == sorted(out)
         assert all(is_lyndon(w) for w in out)
+
+
+class TestContentWords:
+    @pytest.mark.parametrize("counts", small_contents())
+    def test_every_word_of_the_content_once_in_lex_order(self, counts):
+        got = list(content_words(counts))
+        multinomial = factorial(sum(counts)) // prod(map(factorial, counts))
+        assert len(got) == multinomial
+        assert all(u < v for u, v in zip(got, got[1:]))  # increasing, so distinct
+        assert all(multidegree(w, len(counts)) == counts for w in got)
+
+    def test_empty_content_is_the_empty_word(self):
+        assert list(content_words((0, 0))) == [()]
+        assert list(content_words(())) == [()]
+
+    @pytest.mark.parametrize("counts", [(-1,), (3, -1), (0, 2, -2)])
+    def test_negative_count_is_refused(self, counts):
+        with pytest.raises(ValueError):
+            next(content_words(counts))
 
 
 class TestMisc:
