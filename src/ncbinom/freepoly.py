@@ -248,8 +248,9 @@ def shuffle_product(f: FreePoly, g: FreePoly) -> FreePoly:
 def sh_multidegree(counts, m: int = None) -> FreePoly:
     """Sum of all words with the given per-letter counts, coefficient 1.
 
-    ``counts[x-1]`` is the multiplicity of letter x; the words are the walk
-    of ``content_words``, in lex order.
+    ``counts[x-1]`` is the multiplicity of letter x of 1..m (an m other than
+    ``len(counts)`` raises ValueError); the words are ``content_words``.
     """
-    return FreePoly._make(dict.fromkeys(content_words(counts), 1),
-                          len(counts) if m is None else m)
+    if m is not None and m != len(counts):
+        raise ValueError(f"need {m} letter counts, got {tuple(counts)}")
+    return FreePoly._make(dict.fromkeys(content_words(counts), 1), len(counts))

@@ -338,11 +338,11 @@ def enumerate_pbw_monomials(m: int, counts):
     """All PBW monomials with the given multidegree (per-letter counts).
 
     By the Chen-Fox-Lyndon theorem, w -> monomial_from_word(w) is a bijection
-    from the words of content ``counts`` onto these monomials, so they are
-    read off ``content_words`` in O(output * length).
+    from the words of content ``counts`` onto these monomials: they are read
+    off ``content_words``, which refuses a negative count, in O(output * length).
     """
-    if len(counts) != m or any(c < 0 for c in counts):
-        raise ValueError(f"need {m} nonnegative letter counts, got {tuple(counts)}")
+    if len(counts) != m:
+        raise ValueError(f"need {m} letter counts, got {tuple(counts)}")
     return list(map(monomial_from_word, content_words(counts)))
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +9,9 @@ from hypothesis import given, strategies as st
 from ncbinom import verify
 from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
 from ncbinom.rings import QPoly
+from ncbinom.shuffle import sh_pbw
+
+from test_words import small_contents
 
 words = st.lists(st.integers(1, 2), min_size=0, max_size=6).map(tuple)
 
@@ -276,9 +278,7 @@ class TestShuffleTypePolynomials:
                                          * sh_multidegree((j - t, i - k + t)))
                     assert total == sh_multidegree((j, i))
 
-    @pytest.mark.parametrize("counts", [c for m in range(1, 4)
-                                        for c in itertools.product(range(8), repeat=m)
-                                        if sum(c) <= 7])
+    @pytest.mark.parametrize("counts", small_contents())
     def test_walk_equals_leading_letter_recursion(self, counts):
         # the oracle: every word is a leading letter x followed by a word of
         # the content with one x fewer
@@ -310,3 +310,11 @@ class TestErrors:
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             FreePoly.letter(3, m=2)
+
+    def test_multidegree_counts_one_per_letter(self):
+        # a content over 3 letters has no words over 2, nor over 4
+        for m in (2, 4):
+            with pytest.raises(ValueError, match="letter counts"):
+                sh_multidegree((1, 1, 1), m)
+        with pytest.raises(ValueError, match="letter counts"):
+            sh_pbw((1, 1, 1), 2)

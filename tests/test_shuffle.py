@@ -10,6 +10,7 @@ from ncbinom import shuffle, verify
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import (PBWPoly, enumerate_pbw_monomials, monomial_from_word,
                          pbw_expand)
+from ncbinom.rings import ModInt
 from ncbinom.shuffle import (IntegralityError, binomial_ls, c_e_alpha,
                              coeff_closed_form, sh_closed_form, sh_pbw,
                              sh_pbw_char_p)
@@ -158,7 +159,7 @@ class TestCharP:
                     assert len(mono) == 1
                     (alpha, t), = mono
                     assert t == 1 and len(alpha) == p
-                    assert c != 0
+                    assert isinstance(c, ModInt) and c.p == p and c.value != 0
 
     def test_p5_k2_support(self):
         reduced = sh_pbw_char_p(2, 5)
