@@ -37,7 +37,7 @@ def drop_boundary(p: PBWPoly, side: str) -> PBWPoly:
 
 def sh_filter(counts, side: str) -> PBWPoly:
     """Shuffle type polynomial with boundary terms dropped, by the rewrite route."""
-    return drop_boundary(sh_pbw(counts, 2), side)
+    return drop_boundary(sh_pbw(counts), side)
 
 
 def _closed_filter(n: int, k: int, counts, side: str) -> PBWPoly:
@@ -46,7 +46,7 @@ def _closed_filter(n: int, k: int, counts, side: str) -> PBWPoly:
         raise ValueError("negative index")
     if k > n:
         return PBWPoly.zero(2)
-    return drop_boundary(sh_closed_form(counts, 2), side)
+    return drop_boundary(sh_closed_form(counts), side)
 
 
 def bell_partial(n: int, k: int) -> PBWPoly:

@@ -26,7 +26,7 @@ from .emit import emit, parse_json
 from .freepoly import FreePoly
 from .pbw import pbw_rewrite, reduce_mod_p
 from .rings import _is_prime
-from .shuffle import binomial_ls, sh_closed_form, sh_pbw_char_p, sh_word
+from .shuffle import binomial_ls, sh_closed_form, sh_word
 from .words import (cfl_factorize, format_word, is_lyndon, lyndon_enumerate,
                     parse_word, standard_factorization)
 
@@ -257,29 +257,14 @@ def cmd_sh(args):
     if len(counts) < 2:
         raise UsageError("need at least two counts")
     _degree_guard(sum(counts), args.max_degree)
-    p = args.ring
-    if p is not None:
-        if not args.pbw:
-            raise UsageError("--ring GF:p shows only the PBW form; add --pbw")
-        if len(counts) != 2 or sum(counts) != p or 0 in counts:
-            raise UsageError("GF:p shuffle display expects two positive counts summing to p")
-        emit(sh_pbw_char_p(counts[0], p), args.format)
-    elif args.pbw:
-        emit(sh_closed_form(counts), args.format)
-    else:
-        emit(sh_word(counts), args.format)
-    return 0
+    return _emit_reduced(sh_closed_form(counts) if args.pbw else sh_word(counts), args)
 
 
 def cmd_binom(args):
     if args.alphabet < 2:
         raise UsageError("--alphabet must be >= 2")
     _degree_guard(args.degree, args.max_degree)
-    poly = binomial_ls(args.alphabet, args.degree)
-    if args.ring is not None:
-        poly = reduce_mod_p(poly, args.ring)
-    emit(poly, args.format)
-    return 0
+    return _emit_reduced(binomial_ls(args.alphabet, args.degree), args)
 
 
 def cmd_pbw(args):
@@ -287,6 +272,12 @@ def cmd_pbw(args):
     if any(abs(c.numerator) >= _COEFF_BOUND or c.denominator >= _COEFF_BOUND
            for c in poly.terms.values()):
         raise UsageError(f"a coefficient has more than {COEFF_DIGITS} digits")
+    return _emit_reduced(poly, args)
+
+
+def _emit_reduced(poly, args):
+    """Emit the exact poly, or over GF:p its coefficients reduced mod p; a
+    denominator that p divides is a usage error."""
     if args.ring is not None:
         try:
             poly = reduce_mod_p(poly, args.ring)
@@ -299,12 +290,9 @@ def cmd_pbw(args):
 def cmd_bell(args):
     _degree_guard(args.n, args.max_degree)
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
+    fn, name = (bell_dual, "B*") if args.dual else (bell_partial, "B")
     for k in ks:
-        fn = bell_dual if args.dual else bell_partial
-        poly = fn(args.n, k)
-        label = f"B*({args.n},{k})" if args.dual else f"B({args.n},{k})"
-        print(f"{label}: ", end="")
-        emit(poly, args.format)
+        emit(fn(args.n, k), args.format, f"{name}({args.n},{k})")
     return 0
 
 
@@ -400,8 +388,7 @@ def cmd_ore(args):
         # a built-in pair keeps the sigma-Leibniz law by construction
         coeffs = qsigma.ore_closed(args.n, sigma)
     for k, c in enumerate(coeffs):
-        print(f"coeff of x^{args.n - k}: ", end="")
-        emit(c, args.format)
+        emit(c, args.format, f"coeff of x^{args.n - k}")
     return 0
 
 

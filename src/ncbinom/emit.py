@@ -176,22 +176,24 @@ def parse_json(doc: dict):
 CHUNK_TERMS = 256
 
 
-def emit(p, fmt: str) -> None:
+def emit(p, fmt: str, label: str = None) -> None:
     """Write p in the format fmt ("text", "latex" or "json") and a newline
     to standard output, ``CHUNK_TERMS`` terms per write.  Each format is a
     head, its terms joined by a separator, and a tail; the JSON pieces are
     those of ``json.dumps(emit_json(p))``, whose separators are ``", "`` and
-    ``": "``.  An unknown format or a mixed ring raises before anything is
-    written."""
-    head, tail, empty = "", "\n", "0"
+    ``": "``.  A label heads the text and LaTeX as ``label: `` and is the
+    first key, ``"label"``, of the JSON document.  An unknown format or a
+    mixed ring raises before anything is written."""
+    head, tail, empty = "" if label is None else f"{label}: ", "\n", "0"
     if fmt == "text":
         pieces, sep = p.text_terms(), " + "
     elif fmt == "latex":
         pieces, sep = _latex_pieces(p), ""
     elif fmt == "json":
         import json
+        doc = _json_head(p) if label is None else {"label": label, **_json_head(p)}
         # the document with an empty term list ends in "[]}"
-        head, tail, empty = json.dumps(_json_head(p))[:-2], "]}\n", ""
+        head, tail, empty = json.dumps(doc)[:-2], "]}\n", ""
         pieces, sep = map(json.dumps, _json_terms(p)), ", "
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -156,10 +156,10 @@ class FreePoly(SparseCombination):
         return FreePoly({(): one}, m)
 
     @staticmethod
-    def letter(x: int, m: int = 2, one=1) -> "FreePoly":
+    def letter(x: int, m: int = 2) -> "FreePoly":
         if not 1 <= x <= m:
             raise ValueError(f"letter {x} outside alphabet of size {m}")
-        return FreePoly({(x,): one}, m)
+        return FreePoly({(x,): 1}, m)
 
     @staticmethod
     def word(w: Word, m: int = 2, coeff=1) -> "FreePoly":
@@ -245,12 +245,10 @@ def shuffle_product(f: FreePoly, g: FreePoly) -> FreePoly:
     return FreePoly(t, f.m)
 
 
-def sh_multidegree(counts, m: int = None) -> FreePoly:
+def sh_multidegree(counts) -> FreePoly:
     """Sum of all words with the given per-letter counts, coefficient 1.
 
-    ``counts[x-1]`` is the multiplicity of letter x of 1..m (an m other than
-    ``len(counts)`` raises ValueError); the words are ``content_words``.
+    ``counts[x-1]`` is the multiplicity of letter x of 1..m, m = len(counts);
+    the words are ``content_words``.
     """
-    if m is not None and m != len(counts):
-        raise ValueError(f"need {m} letter counts, got {tuple(counts)}")
     return FreePoly._make(dict.fromkeys(content_words(counts), 1), len(counts))

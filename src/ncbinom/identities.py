@@ -4,10 +4,11 @@ polynomials and the quantum-plane / cyclotomic facts about Gaussian binomials.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import partial
 from math import comb
 
 from .freepoly import FreePoly, sh_multidegree
+from .quotients import normal_order, normal_power
 from .rings import (DivisionNotExact, QPoly, cyclotomic, exponent_vectors,
                     q_binomial, qpoly_exact_div)
 
@@ -38,7 +39,7 @@ def faa_di_bruno_check(m: int, n: int) -> bool:
     mass on both sides is the composition count binom(m+n, n), which is also
     verified.
     """
-    lhs = FreePoly.letter(_G, 2) * sh_multidegree((n, m), 2)
+    lhs = FreePoly.letter(_G, 2) * sh_multidegree((n, m))
     rhs = faa_composition_sum(m, n)
     mass = sum(rhs.terms.values())
     if mass != comb(m + n, n):
@@ -46,42 +47,22 @@ def faa_di_bruno_check(m: int, n: int) -> bool:
     return lhs == rhs
 
 
-def _normal_order_rows(terms):
-    """Normal-order (word, coefficient) pairs over {g, h} with g h = q h g.
-
-    Returns a dict (h_count, g_count) -> QPoly; each word contributes
-    q^(number of (g, h) inversions, g left of h).  The coefficients are
-    summed per (key, inversions), and one QPoly is built per key.
-    """
-    rows = {}
-    for w, c in terms:
-        inversions = 0
-        seen_g = 0
-        for letter in w:
-            if letter == _G:
-                seen_g += 1
-            else:
-                inversions += seen_g
-        row = rows.setdefault((w.count(_H), seen_g), {})
-        row[inversions] = row.get(inversions, 0) + c
-    out = {}
-    for key, row in rows.items():
-        p = QPoly([row.get(i, 0) for i in range(max(row) + 1)])
-        if p:
-            out[key] = p
-    return out
+def _quantum_plane_rule(a, b):
+    """g h -> q h g, the one relation of the quantum plane."""
+    return (((b, a), QPoly.q(1)),) if (a, b) == (_G, _H) else None
 
 
 def q_binomial_theorem_check(n: int) -> bool:
     """(x+y)^n = sum_j binom(n,j)_q y^{n-j} x^j in the quantum plane xy = qyx.
 
-    Modeled with x = g, y = h: the 2^n words of (x+y)^n, each with
-    coefficient 1, are normal-ordered one at a time as they are generated,
-    and the sums are checked against the Pascal recursion of q_binomial.
+    Modeled with x = g, y = h: (g+h)^n is built one letter at a time and
+    normal-ordered by the quotients' rewriter, and its coefficients are
+    checked against the Pascal recursion of q_binomial.
     """
-    ordered = _normal_order_rows((w, 1) for w in product((_G, _H), repeat=n))
-    expected = {(n - j, j): q_binomial(n, j) for j in range(n + 1)}
-    return ordered == expected
+    power = normal_power((_G, _H), n, partial(normal_order, rule=_quantum_plane_rule))
+    # a normal-ordered word is h^{n-j} g^j, so its letter counts identify it
+    ordered = {(w.count(_H), w.count(_G)): c for w, c in power.items()}
+    return ordered == {(n - j, j): q_binomial(n, j) for j in range(n + 1)}
 
 
 def qbinom_cyclotomic_vanish(n: int) -> bool:

@@ -334,20 +334,20 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
     return PBWPoly._make(out, m)
 
 
-def enumerate_pbw_monomials(m: int, counts):
-    """All PBW monomials with the given multidegree (per-letter counts).
+def enumerate_pbw_monomials(counts):
+    """All PBW monomials with the given multidegree (per-letter counts of the
+    letters 1..len(counts)).
 
     By the Chen-Fox-Lyndon theorem, w -> monomial_from_word(w) is a bijection
     from the words of content ``counts`` onto these monomials: they are read
     off ``content_words``, which refuses a negative count, in O(output * length).
     """
-    if len(counts) != m:
-        raise ValueError(f"need {m} letter counts, got {tuple(counts)}")
     return list(map(monomial_from_word, content_words(counts)))
 
 
-def reduce_mod_p(p_poly: PBWPoly, p: int) -> PBWPoly:
-    """Reduce rational PBW coefficients mod p (denominators must be units)."""
+def reduce_mod_p(p_poly: SparseCombination, p: int) -> SparseCombination:
+    """Reduce the rational coefficients of a word-basis or PBW polynomial mod
+    p (denominators must be units)."""
     return p_poly.map_coeffs(lambda c: to_mod_p(c, p))
 
 

@@ -78,16 +78,16 @@ def _word_image(w, memo: dict, images: dict) -> FreePoly:
     return img
 
 
-def endomorphism(images, m: int = 2) -> Op:
-    """Algebra endomorphism given by the images of the generators 1..m.
+def endomorphism(images) -> Op:
+    """Algebra endomorphism given by the images of the generators 1 and 2.
 
     The returned phi memoises the image of every word it meets, and of each
     prefix, in a dict of its closure: two endomorphisms never share entries,
     and nothing in the closure refers back to phi, so it is freed by
     reference counting alone.
     """
-    images = {x: images[x] for x in range(1, m + 1)}
-    memo = {(): FreePoly.unit(m)}
+    images = {x: images[x] for x in (1, 2)}
+    memo = {(): FreePoly.unit(2)}
 
     def phi(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
@@ -97,13 +97,13 @@ def endomorphism(images, m: int = 2) -> Op:
     return phi
 
 
-def gen_derivation(images, sigma: Op, m: int = 2) -> Op:
-    """sigma-derivation defined by images of the generators 1..m.
+def gen_derivation(images, sigma: Op) -> Op:
+    """sigma-derivation defined by images of the generators 1 and 2.
 
     Extended by the Leibniz rule: on a word x_1...x_n the value is
     sum_i sigma(x_1...x_{i-1}) * delta(x_i) * x_{i+1}...x_n.
     """
-    images = {x: images[x] for x in range(1, m + 1)}
+    images = {x: images[x] for x in (1, 2)}
 
     def delta(f: FreePoly) -> FreePoly:
         out = FreePoly.zero(f.m)
@@ -117,13 +117,13 @@ def gen_derivation(images, sigma: Op, m: int = 2) -> Op:
     return delta
 
 
-def check_sigma_derivation(delta: Op, sigma: Op, m: int = 2,
-                           trials: int = 20, max_len: int = 3, seed: int = 7):
-    """Property-test delta(uv) = delta(u)v + sigma(u)delta(v) on random words."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        u = FreePoly.word(tuple(rng.randint(1, m) for _ in range(rng.randint(0, max_len))), m)
-        v = FreePoly.word(tuple(rng.randint(1, m) for _ in range(rng.randint(0, max_len))), m)
+def check_sigma_derivation(delta: Op, sigma: Op):
+    """Property-test delta(uv) = delta(u)v + sigma(u)delta(v) on 20 pairs of
+    words of length at most 3, drawn from a fixed seed."""
+    rng = random.Random(7)
+    for _ in range(20):
+        u, v = (FreePoly.word(tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 3))), 2)
+                for _ in range(2))
         if delta(u * v) != delta(u) * v + sigma(u) * delta(v):
             raise NotASigmaDerivation(
                 f"Leibniz law failed on {u!r}, {v!r}")
@@ -314,7 +314,7 @@ def qbell_at_one(n: int) -> FreePoly:
     return at_q_one(qbell(n))
 
 
-def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
+def ore_binomial(n: int, sigma: Op, delta: Op):
     """Coefficient list [SH_{k,n-k}(delta + y, sigma)(1)] of (x+y)^n when
     xy = sigma(y)x + delta(y).
 
@@ -322,8 +322,8 @@ def ore_binomial(n: int, sigma: Op, delta: Op, m: int = 2):
     """
     if n < 0:
         raise ValueError("negative power")
-    check_sigma_derivation(delta, sigma, m)
-    return _sh_hat_coeffs(n, step(delta, FreePoly.letter(2, m)), sigma, FreePoly.unit(m))
+    check_sigma_derivation(delta, sigma)
+    return _sh_hat_coeffs(n, step(delta, _Y), sigma, FreePoly.unit(2))
 
 
 def ore_closed(n: int, sigma: Op) -> list:

@@ -6,11 +6,11 @@ rewriting system (xy -> qyx + h, xh -> q^2 hx, hy -> q^2 yh), which is the
 d-alphabet cut off at order 2, and the Weyl-type quotient (only E_2, E_12,
 E_1 survive), which is Blumen at q = 1.  Every closed form reads the one
 q-multinomial ``qcomm_multinomial``, a product of binomials that never
-divides, and both rewrite routes run the one rewriter ``normal_order``.
-Production calls return the closed forms and compute each result once; the
-rewrite routes (``qcomm_bell_recursive``,
-``blumen_binomial_rewrite``) are run only by ``verify qcomm`` and ``verify
-blumen``, which compare them explicitly.
+divides, and every rewrite route, the quantum plane of ``identities``
+included, runs the one rewriter ``normal_order``.  Production calls return
+the closed forms and compute each result once; the rewrite routes
+(``qcomm_bell_recursive``, ``blumen_binomial_rewrite``) are run only by
+``verify qcomm`` and ``verify blumen``, which compare them explicitly.
 """
 
 from __future__ import annotations
@@ -121,6 +121,19 @@ def normal_order(poly, rule):
     return out
 
 
+def normal_power(letters, n: int, normalize):
+    """(sum of letters)^n as a dict word-tuple -> QPoly, one letter at a time:
+    each step appends every letter on the right and ``normalize`` puts the
+    result back in normal order."""
+    if n < 0:
+        raise ValueError("negative power")
+    poly = {(): QPoly.one()}
+    for _ in range(n):
+        poly = normalize({word + (letter,): c for word, c in poly.items()
+                          for letter in letters})
+    return poly
+
+
 # -- q-commutative d-alphabet ------------------------------------------------
 
 def qcomm_rule(a, b):
@@ -226,12 +239,7 @@ def blumen_binomial_rewrite(n: int):
     The second route to ``blumen_binomial``, keyed the same way; only
     ``verify blumen`` runs it.
     """
-    if n < 0:
-        raise ValueError("negative power")
-    poly = {(): QPoly.one()}
-    for _ in range(n):
-        poly = blumen_normalize({word + (letter,): c for word, c in poly.items()
-                                 for letter in ("x", "y")})
+    poly = normal_power(("x", "y"), n, blumen_normalize)
     # a normal-ordered word is y^r h^s x^t, so its letter counts identify it
     return {(word.count("y"), word.count("h"), word.count("x")): c
             for word, c in poly.items()}

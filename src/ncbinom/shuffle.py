@@ -24,27 +24,26 @@ class IntegralityError(ArithmeticError):
     """An exact integer was expected; signals a broken invariant."""
 
 
-def _letter_counts(counts, m):
-    """Per-letter counts of letters 1..m, and m, from an SH index.
+def _letter_counts(counts):
+    """The count of each letter 1..m in turn, from an SH index over m =
+    len(counts) letters.
 
     A binary index (i, j) follows SH_{i,j}: i letters 2 and j letters 1.
-    Any other index lists the count of each letter 1..m in turn.
+    Any other index lists the count of each letter in turn.
     """
-    if m is None:
-        m = len(counts)
-    if m == 2 and len(counts) == 2:
-        return (counts[1], counts[0]), m
-    return tuple(counts), m
+    if len(counts) == 2:
+        return counts[1], counts[0]
+    return tuple(counts)
 
 
-def sh_word(counts, m: int = None) -> FreePoly:
+def sh_word(counts) -> FreePoly:
     """Word form of the shuffle type polynomial with the given SH index."""
-    return sh_multidegree(*_letter_counts(counts, m))
+    return sh_multidegree(_letter_counts(counts))
 
 
-def sh_pbw(counts, m: int = None) -> PBWPoly:
+def sh_pbw(counts) -> PBWPoly:
     """PBW form of the shuffle type polynomial, by rewriting its word form."""
-    return pbw_rewrite(sh_word(counts, m))
+    return pbw_rewrite(sh_word(counts))
 
 
 @lru_cache(maxsize=None)
@@ -75,19 +74,18 @@ def coeff_closed_form(mono: PBWMonomial) -> int:
     return value
 
 
-def sh_closed_form(counts, m: int = None) -> PBWPoly:
+def sh_closed_form(counts) -> PBWPoly:
     """Assemble the shuffle type polynomial purely from the closed formula.
 
     Independent of ``pbw_rewrite``; the equality of the two routes is the
     main verified identity.
     """
-    per_letter, m = _letter_counts(counts, m)
     terms = {}
-    for mono in enumerate_pbw_monomials(m, per_letter):
+    for mono in enumerate_pbw_monomials(_letter_counts(counts)):
         c = coeff_closed_form(mono)
         if c:
             terms[mono] = c
-    return PBWPoly(terms, m)
+    return PBWPoly(terms, len(counts))
 
 
 def binomial_ls(m: int, d: int) -> PBWPoly:
@@ -99,7 +97,7 @@ def binomial_ls(m: int, d: int) -> PBWPoly:
     terms = {}
     # monomials of different contents differ, so the parts never collide
     for counts in exponent_vectors(d, (1,) * m):
-        terms.update(sh_closed_form(counts, m).terms)
+        terms.update(sh_closed_form(counts).terms)
     return PBWPoly(terms, m)
 
 
@@ -108,10 +106,11 @@ class CharPViolation(AssertionError):
 
 
 def sh_pbw_char_p(k: int, p: int) -> PBWPoly:
-    """SH_{k, p-k} over GF(p): only single length-p Lyndon factors survive."""
+    """SH_{k, p-k} over GF(p), checked: only single length-p Lyndon factors
+    survive.  The check behind ``verify charp``."""
     if not 1 <= k <= p - 1:
         raise ValueError("need 1 <= k <= p-1")
-    reduced = reduce_mod_p(sh_closed_form((k, p - k), 2), p)
+    reduced = reduce_mod_p(sh_closed_form((k, p - k)), p)
     for mono in reduced.terms:
         if not (len(mono) == 1 and mono[0][1] == 1 and len(mono[0][0]) == p):
             raise CharPViolation(

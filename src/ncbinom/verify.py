@@ -34,7 +34,7 @@ def verify_appendix():
         return False, f"cannot open {APPENDIX!r}: {e.strerror}"
     with lines:
         for i, (n, k) in enumerate([(n, k) for n in (5, 6, 7) for k in range(n + 1)], 1):
-            want = f"{n} {k},{n - k}: {sh_closed_form((k, n - k), 2)}"
+            want = f"{n} {k},{n - k}: {sh_closed_form((k, n - k))}"
             if next(lines, "").rstrip("\n") != want:
                 return False, f"mismatch at n={n}, SH_{{{k},{n - k}}}"
         if next(lines, None) is not None:
@@ -48,14 +48,14 @@ def verify_theorem_a(max_binary: int = 8, max_ternary: int = 6):
     checked = 0
     for total in range(max_binary + 1):
         for i in range(total + 1):
-            if sh_closed_form((i, total - i), 2) != sh_pbw((i, total - i), 2):
+            if sh_closed_form((i, total - i)) != sh_pbw((i, total - i)):
                 return False, f"binary mismatch at ({i},{total - i})"
             checked += 1
     for total in range(max_ternary + 1):
         for a in range(total + 1):
             for b in range(total - a + 1):
                 counts = (a, b, total - a - b)
-                if sh_closed_form(counts, 3) != sh_pbw(counts, 3):
+                if sh_closed_form(counts) != sh_pbw(counts):
                     return False, f"ternary mismatch at {counts}"
                 checked += 1
     for m, top in ((2, min(max_binary, 6)), (3, min(max_ternary, 4))):
@@ -107,7 +107,7 @@ def verify_pbw_roundtrip(samples: int = 500, max_degree: int = 7,
     """pbw_rewrite inverts pbw_expand; expansion is triangular; the word
     product merges the words that different term pairs give."""
     rng = random.Random(seed)
-    monomials = {(j, d - j): enumerate_pbw_monomials(2, (j, d - j))
+    monomials = {(j, d - j): enumerate_pbw_monomials((j, d - j))
                  for d in range(max(max_degree, triangular_degree) + 1) for j in range(d + 1)}
     for _ in range(samples):
         p = _random_pbw_poly(rng, max_degree, monomials)

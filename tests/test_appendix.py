@@ -40,7 +40,7 @@ class TestGoldenText:
             n, _, kj = head.partition(" ")
             k, j = map(int, kj.split(","))
             assert sep and int(n) == k + j
-            assert parse_expression(_bracket_words(text), 2) == sh_word((k, j), 2), head
+            assert parse_expression(_bracket_words(text), 2) == sh_word((k, j)), head
             heads.append((int(n), k))
         assert heads == [(n, k) for n in (5, 6, 7) for k in range(n + 1)]
 
@@ -128,8 +128,8 @@ _PLANT_COEFFICIENT = (
     "from ncbinom import verify\n"
     "from ncbinom.pbw import PBWPoly\n"
     "right = verify.sh_closed_form\n"
-    "def planted(counts, m=None):\n"
-    "    p = right(counts, m)\n"
+    "def planted(counts):\n"
+    "    p = right(counts)\n"
     "    if tuple(counts) == (2, 3):\n"
     "        p = p + PBWPoly.monomial(next(iter(p.terms)), 2)\n"
     "    return p\n"

@@ -6,12 +6,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ncbinom import verify
+from ncbinom import qsigma, verify
+from ncbinom.bell import bell_dual, bell_partial
 from ncbinom.cli import UsageError, main, parse_expression
 from ncbinom.emit import emit_json, parse_json
 from ncbinom.freepoly import FreePoly
@@ -90,6 +92,26 @@ class TestCommands:
                            "--pbw")
         assert code == 0
         assert "E(11122)" in out and "E(11212)" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("p, degree", [(5, ("4,4", "--pbw")), (5, ("2,3",)), (2, ("1,1,1",))])
+    def test_sh_over_gf_is_the_q_output_reduced(self, capsys, fmt, p, degree):
+        # each coefficient reduced by Fraction and pow alone; a zero drops its term
+        def mod(c):
+            c = Fraction(c)
+            return c.numerator * pow(c.denominator, -1, p) % p
+        _, exact, _ = run(capsys, "sh", "--degree", *degree, "--format", fmt)
+        if fmt == "json":
+            doc = json.loads(exact)
+            doc["ring"] = f"GF:{p}"
+            doc["terms"] = [dict(t, coeff=str(mod(t["coeff"]))) for t in doc["terms"]
+                            if mod(t["coeff"])]
+            want = json.dumps(doc)
+        else:
+            terms = [term.split("*", 1) for term in exact.rstrip("\n").split(" + ")]
+            want = " + ".join(f"{mod(c)}*{body}" for c, body in terms if mod(c)) or "0"
+        got = run(capsys, "sh", "--degree", *degree, "--format", fmt, "--ring", f"GF:{p}")
+        assert got == (0, want + "\n", "")
 
     def test_binom_json(self, capsys):
         code, out, _ = run(capsys, "binom", "--degree", "2", "--format", "json")
@@ -193,17 +215,17 @@ class TestCommands:
             'coeff of x^1: (3 + q)*E(12) + (5 + 3*q)*E(21) + 4*E(222)\n'
             'coeff of x^0: (2 + q)*E(11) + 1*E(122) + 2*E(212) + 3*E(221) + 1*E(2222)\n'),
         "json": (
-            'coeff of x^4: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "1", "word": "e"}]}\n'
-            'coeff of x^3: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "4", "word": "2"}]}\n'
-            'coeff of x^2: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "3 + 2*q + q^2", "word": "1"}, {"coeff": "6", "word": "22"}]}\n'
-            'coeff of x^1: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "3 + q", "word": "12"}, {"coeff": "5 + 3*q", "word": "21"}, '
+            '{"label": "coeff of x^4", "ring": "Q", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "1", "word": "e"}]}\n'
+            '{"label": "coeff of x^3", "ring": "Q", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "4", "word": "2"}]}\n'
+            '{"label": "coeff of x^2", "ring": "Q[q]", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "3 + 2*q + q^2", "word": "1"}, {"coeff": "6", "word": "22"}]}\n'
+            '{"label": "coeff of x^1", "ring": "Q[q]", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "3 + q", "word": "12"}, {"coeff": "5 + 3*q", "word": "21"}, '
             '{"coeff": "4", "word": "222"}]}\n'
-            'coeff of x^0: {"ring": "Q[q]", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "2 + q", "word": "11"}, {"coeff": "1", "word": "122"}, '
+            '{"label": "coeff of x^0", "ring": "Q[q]", "basis": "word", "alphabet": 2, '
+            '"terms": [{"coeff": "2 + q", "word": "11"}, {"coeff": "1", "word": "122"}, '
             '{"coeff": "2", "word": "212"}, {"coeff": "3", "word": "221"}, '
             '{"coeff": "1", "word": "2222"}]}\n'),
     }
@@ -240,7 +262,7 @@ class TestCommands:
     # one, so that a fault in a command's route can fail a suite
     ROUTES = {
         "words": ["lyndon_enumerate", "cfl_factorize", "standard_factorization"],
-        "shuffle": ["sh_word", "sh_closed_form", "sh_pbw_char_p", "binomial_ls"],
+        "shuffle": ["sh_word", "sh_closed_form", "binomial_ls"],
         "pbw": ["reduce_mod_p", "pbw_rewrite"],
         "bell": ["bell_partial", "bell_dual"],
         "qsigma": ["qbell_closed", "ore_closed", "ore_binomial", "gen_derivation"],
@@ -327,8 +349,6 @@ class TestExitCodes:
         ("pbw", "--expr", "1/" + "7" * 4301),
         ("pbw", "--expr", "9" * 4300 + "+1"),
         ("pbw", "--expr", "9" * 3000 + "*" + "9" * 3000),
-        ("sh", "--degree", "2,3", "--ring", "GF:5"),
-        ("sh", "--degree", "0,5", "--pbw", "--ring", "GF:5"),
         ("binom", "--degree", "2", "--ring", "GF:3317044064679887385961981"),
         ("binom", "--degree", "2", "--ring", "GF:" + "7" * 5000),
         ("factorize", "--word", "[1,2"),
@@ -668,6 +688,21 @@ class TestJsonPipeline:
                 terms[w] = rng.randint(-5, 5) or 1
             p = FreePoly(terms, 2)
             assert parse_json(emit_json(p)) == p
+
+    @pytest.mark.parametrize("argv, labels, parts", [
+        (("bell", "--n", "4"), [f"B(4,{k})" for k in range(5)],
+         lambda: [bell_partial(4, k) for k in range(5)]),
+        (("bell", "--n", "4", "--dual"), [f"B*(4,{k})" for k in range(5)],
+         lambda: [bell_dual(4, k) for k in range(5)]),
+        (("ore", "--n", "3", "--sigma", "grading"), [f"coeff of x^{3 - k}" for k in range(4)],
+         lambda: qsigma.ore_closed(3, qsigma.grading_sigma)),
+    ])
+    def test_labelled_parts_are_one_json_document_per_line(self, capsys, argv, labels, parts):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (0, "")
+        assert [next(iter(doc.items())) for doc in docs] == [("label", x) for x in labels]
+        assert [parse_json(doc) for doc in docs] == parts()
 
 
 _TOKENS = ["E(1)", "E(2)", "E(12)", "E(3)", "E()", "0", "1", "2", "3", "/",

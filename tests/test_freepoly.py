@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from ncbinom import verify
 from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
 from ncbinom.rings import QPoly
-from ncbinom.shuffle import sh_pbw
 
 from test_words import small_contents
 
@@ -291,13 +290,12 @@ class TestShuffleTypePolynomials:
                     rest = counts[:x - 1] + (counts[x - 1] - 1,) + counts[x:]
                     total = total + FreePoly.letter(x, m) * by_leading_letter(rest, m)
             return total
-        m = len(counts)
-        got = sh_multidegree(counts, m)
-        want = by_leading_letter(counts, m)
+        got = sh_multidegree(counts)
+        want = by_leading_letter(counts, len(counts))
         assert got == want and list(got.terms) == list(want.terms)
 
     def test_ternary_multidegree(self):
-        p = sh_multidegree((1, 1, 1), 3)
+        p = sh_multidegree((1, 1, 1))
         assert len(p.terms) == 6
         assert all(sorted(w) == [1, 2, 3] for w in p.terms)
 
@@ -310,11 +308,3 @@ class TestErrors:
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             FreePoly.letter(3, m=2)
-
-    def test_multidegree_counts_one_per_letter(self):
-        # a content over 3 letters has no words over 2, nor over 4
-        for m in (2, 4):
-            with pytest.raises(ValueError, match="letter counts"):
-                sh_multidegree((1, 1, 1), m)
-        with pytest.raises(ValueError, match="letter counts"):
-            sh_pbw((1, 1, 1), 2)

@@ -1,9 +1,11 @@
 """The output contract: exact text and JSON of small commands.
 
 The expected bytes were recorded before text, LaTeX and JSON were moved onto
-one term walk; text and JSON must not change.  The one later change is the
+one term walk; text and JSON must not change.  One later change is the
 JSON ring tag of ``qbell`` and of ``ore``'s ``x^0`` line: it is read from every
 coefficient, so their q-polynomial coefficients make it ``Q[q]``, not ``Q``.
+The JSON of ``bell`` and ``ore`` is one document per line, its label moved
+from a ``label: `` prefix into the document's first key.
 The partial ``bell``/``qbell`` entries (``--k``) were recorded from the
 hand-written Bell and q-Bell recursions before they were replaced by reads of
 the SH-hat triangle.  ``quotient blumen`` and ``qcomm-bell`` have text output
@@ -90,13 +92,15 @@ GOLDEN = {
     ('bell', '--n', '3', '--dual'): {
         'text': ('B*(3,0): 0\nB*(3,1): 1*E(122)\nB*(3,2): 1*E(112) + '
             '3*E(12)*E(1)\nB*(3,3): 1*E(1)^3\n'),
-        'json': ('B*(3,0): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": '
-            '[]}\nB*(3,1): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": '
-            '[{"coeff": "1", "factors": [["122", 1]]}]}\nB*(3,2): {"ring": "Q", '
-            '"basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", "factors": '
-            '[["112", 1]]}, {"coeff": "3", "factors": [["12", 1], ["1", '
-            '1]]}]}\nB*(3,3): {"ring": "Q", "basis": "pbw", "alphabet": 2, '
-            '"terms": [{"coeff": "1", "factors": [["1", 3]]}]}\n'),
+        'json': ('{"label": "B*(3,0)", "ring": "Q", "basis": "pbw", '
+            '"alphabet": 2, "terms": []}\n{"label": "B*(3,1)", "ring": "Q", '
+            '"basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["122", 1]]}]}\n{"label": "B*(3,2)", "ring": "Q", '
+            '"basis": "pbw", "alphabet": 2, "terms": [{"coeff": "1", '
+            '"factors": [["112", 1]]}, {"coeff": "3", "factors": [["12", 1], '
+            '["1", 1]]}]}\n{"label": "B*(3,3)", "ring": "Q", "basis": "pbw", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "factors": [["1", '
+            '3]]}]}\n'),
     },
     ('qbell', '--n', '3'): {
         'text': ('1*E(112) + (-1*q + -1*q^2)*E(121) + 1*E(122) + q^3*E(211) + 1*E(212) '
@@ -125,7 +129,8 @@ GOLDEN = {
     # k > n is the zero polynomial, not an error
     ('bell', '--n', '3', '--k', '5'): {
         'text': ('B(3,5): 0\n'),
-        'json': ('B(3,5): {"ring": "Q", "basis": "pbw", "alphabet": 2, "terms": []}\n'),
+        'json': ('{"label": "B(3,5)", "ring": "Q", "basis": "pbw", '
+            '"alphabet": 2, "terms": []}\n'),
     },
     ('qbell', '--n', '3', '--k', '5'): {
         'text': ('0\n'),
@@ -155,35 +160,39 @@ GOLDEN = {
     },
     ('ore', '--n', '0', '--sigma', 'grading'): {
         'text': ('coeff of x^0: 1*E(e)\n'),
-        'json': ('coeff of x^0: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "1", "word": "e"}]}\n'),
+        'json': ('{"label": "coeff of x^0", "ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": "e"}]}\n'),
     },
     ('ore', '--n', '0', '--sigma', 'id'): {
         'text': ('coeff of x^0: 1*E(e)\n'),
-        'json': ('coeff of x^0: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "1", "word": "e"}]}\n'),
+        'json': ('{"label": "coeff of x^0", "ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": "e"}]}\n'),
     },
     ('ore', '--n', '1', '--sigma', 'grading'): {
         'text': ('coeff of x^1: 1*E(e)\ncoeff of x^0: 1*E(2)\n'),
-        'json': ('coeff of x^1: {"ring": "Q[q]", "basis": "word", "alphabet": 2, '
-            '"terms": [{"coeff": "1", "word": "e"}]}\ncoeff of x^0: {"ring": "Q", '
-            '"basis": "word", "alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
+        'json': ('{"label": "coeff of x^1", "ring": "Q[q]", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": '
+            '"e"}]}\n{"label": "coeff of x^0", "ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
     },
     ('ore', '--n', '1', '--sigma', 'id'): {
         'text': ('coeff of x^1: 1*E(e)\ncoeff of x^0: 1*E(2)\n'),
-        'json': ('coeff of x^1: {"ring": "Q", "basis": "word", "alphabet": 2, "terms": '
-            '[{"coeff": "1", "word": "e"}]}\ncoeff of x^0: {"ring": "Q", "basis": '
-            '"word", "alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
+        'json': ('{"label": "coeff of x^1", "ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": '
+            '"e"}]}\n{"label": "coeff of x^0", "ring": "Q", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": "2"}]}\n'),
     },
     ('ore', '--n', '2', '--sigma', 'grading'): {
         'text': ('coeff of x^2: 1*E(e)\ncoeff of x^1: (1 + q)*E(2)\ncoeff of x^0: '
             '1*E(12) + -1*q*E(21) + 1*E(22)\n'),
-        'json': ('coeff of x^2: {"ring": "Q[q]", "basis": "word", "alphabet": 2, '
-            '"terms": [{"coeff": "1", "word": "e"}]}\ncoeff of x^1: {"ring": '
-            '"Q[q]", "basis": "word", "alphabet": 2, "terms": [{"coeff": "1 + q", '
-            '"word": "2"}]}\ncoeff of x^0: {"ring": "Q[q]", "basis": "word", '
-            '"alphabet": 2, "terms": [{"coeff": "1", "word": "12"}, {"coeff": '
-            '"-1*q", "word": "21"}, {"coeff": "1", "word": "22"}]}\n'),
+        'json': ('{"label": "coeff of x^2", "ring": "Q[q]", "basis": "word", '
+            '"alphabet": 2, "terms": [{"coeff": "1", "word": '
+            '"e"}]}\n{"label": "coeff of x^1", "ring": "Q[q]", "basis": '
+            '"word", "alphabet": 2, "terms": [{"coeff": "1 + q", "word": '
+            '"2"}]}\n{"label": "coeff of x^0", "ring": "Q[q]", "basis": '
+            '"word", "alphabet": 2, "terms": [{"coeff": "1", "word": "12"}, '
+            '{"coeff": "-1*q", "word": "21"}, {"coeff": "1", "word": '
+            '"22"}]}\n'),
     },
     ('quotient', 'weyl', '--d', '3'): {
         'text': ('1*E(1)^3 + 3*E(12)*E(1) + 3*E(2)*E(1)^2 + 3*E(2)*E(12) + '

@@ -47,10 +47,10 @@ class TestOperators:
         assert identity(X * Y - Y) == X * Y - Y
 
     def test_endomorphism_is_multiplicative(self):
-        phi = endomorphism({1: X + Y, 2: Y * Y}, 2)
+        phi = endomorphism({1: X + Y, 2: Y * Y})
         u, v = X * Y, Y * X
         assert phi(u * v) == phi(u) * phi(v)
-        assert endomorphism({1: X, 2: Y}, 2)(u) == u
+        assert endomorphism({1: X, 2: Y})(u) == u
 
     @pytest.mark.parametrize("images", [
         {1: Y, 2: X},                                     # the swap
@@ -58,7 +58,7 @@ class TestOperators:
         {1: X * Y - Y.scale(2), 2: X.scale(Q) + FreePoly.unit(2)},  # not words
     ])
     def test_memoised_endomorphism_equals_letter_by_letter_product(self, images):
-        phi = endomorphism(images, 2)
+        phi = endomorphism(images)
         words = [w for n in range(6) for w in itertools.product((1, 2), repeat=n)]
         for w in words + words[::-1]:  # the second pass reads the memo
             assert phi(FreePoly.word(w, 2)) == image_by_letters(images, w), w
@@ -68,7 +68,7 @@ class TestOperators:
 
     def test_endomorphisms_share_no_memo_entries(self):
         swap_images, shear_images = {1: Y, 2: X}, {1: X + Y, 2: Y}
-        swap, shear = endomorphism(swap_images, 2), endomorphism(shear_images, 2)
+        swap, shear = endomorphism(swap_images), endomorphism(shear_images)
         for n in range(5):
             for w in itertools.product((1, 2), repeat=n):
                 u = FreePoly.word(w, 2)
@@ -83,14 +83,13 @@ class TestOperators:
         gc.collect()
         gc.disable()
         try:
-            assert endomorphism({1: Y, 2: X + Y}, 2)(f) == (X + Y + Y) ** 4
+            assert endomorphism({1: Y, 2: X + Y})(f) == (X + Y + Y) ** 4
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_generator_images_are_read_eagerly(self):
-        for build in (lambda images: endomorphism(images, 2),
-                      lambda images: gen_derivation(images, identity, 2)):
+        for build in (endomorphism, lambda images: gen_derivation(images, identity)):
             with pytest.raises(KeyError):
                 build({1: X})
 
@@ -98,7 +97,7 @@ class TestOperators:
         check_sigma_derivation(ad_sigma(X, grading_sigma), grading_sigma)
 
     def test_gen_derivation_leibniz(self):
-        delta = gen_derivation({1: FreePoly.unit(2), 2: X}, grading_sigma, 2)
+        delta = gen_derivation({1: FreePoly.unit(2), 2: X}, grading_sigma)
         check_sigma_derivation(delta, grading_sigma)
         # delta(xy) = delta(x) y + sigma(x) delta(y) = y + q x x
         assert delta(X * Y) == Y + (X * X).map_coeffs(lambda c: Q * c)
@@ -111,7 +110,7 @@ class TestOperators:
 SEEDS = (FreePoly.unit(2), X, Y, X * Y + Y * X)
 # Under id and the grading every shifted step D_t is a multiple of D_0, so
 # the D_t commute; the shear x -> x + y makes the order of D_m products seen.
-SIGMAS = (identity, grading_sigma, endomorphism({1: X + Y, 2: Y}, 2))
+SIGMAS = (identity, grading_sigma, endomorphism({1: X + Y, 2: Y}))
 
 
 def d_m_sum_by_tuples(j, k, sigma, f):
@@ -397,7 +396,7 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="negative power"):
             ore_closed(-1, identity)
         with pytest.raises(ValueError):
-            ore_closed(2, endomorphism({1: Y, 2: X}, 2))
+            ore_closed(2, endomorphism({1: Y, 2: X}))
 
     def test_integer_coefficients_where_sigma_never_acts(self):
         # the JSON ring tag reads the coefficient types: int on the words

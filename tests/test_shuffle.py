@@ -37,14 +37,14 @@ class TestLeadingCoefficients:
         for alpha in lyndon_enumerate(2, 7):
             i = sum(1 for x in alpha if x == 2)
             j = len(alpha) - i
-            p = sh_pbw((i, j), 2)
+            p = sh_pbw((i, j))
             assert p.coeff(((alpha, 1),)) == c_e_alpha(alpha)
 
 
 class TestClosedForm:
     def test_small_binary_example(self):
         # SH_{1,1} = xy + yx = 2 E_2 E_1 + E_12
-        got = sh_closed_form((1, 1), 2)
+        got = sh_closed_form((1, 1))
         want = (PBWPoly.monomial((((2,), 1), ((1,), 1)), coeff=2)
                 + PBWPoly.monomial((((1, 2), 1),)))
         assert got == want
@@ -54,7 +54,7 @@ class TestClosedForm:
             for j in range(7):
                 if i + j > 8:
                     continue
-                assert sh_closed_form((i, j), 2) == sh_pbw((i, j), 2)
+                assert sh_closed_form((i, j)) == sh_pbw((i, j))
 
     def test_agrees_with_rewrite_ternary(self):
         for a in range(3):
@@ -62,27 +62,27 @@ class TestClosedForm:
                 for c in range(3):
                     if a + b + c > 5:
                         continue
-                    assert sh_closed_form((a, b, c), 3) == sh_pbw((a, b, c), 3)
+                    assert sh_closed_form((a, b, c)) == sh_pbw((a, b, c))
 
     def test_mass_is_binomial(self):
         from math import comb
         for i in range(6):
             for j in range(6):
-                p = sh_closed_form((i, j), 2)
+                p = sh_closed_form((i, j))
                 assert pbw_expand(p).terms.keys() == {
-                    w for w in pbw_expand(sh_pbw((i, j), 2)).terms}
+                    w for w in pbw_expand(sh_pbw((i, j))).terms}
                 total = sum(pbw_expand(p).terms.values())
                 assert total == comb(i + j, i)
 
     def test_word_monomial_has_coeff_from_formula(self):
         mono = monomial_from_word((2, 2, 1, 2, 1))
-        assert coeff_closed_form(mono) == sh_pbw((3, 2), 2).coeff(mono)
+        assert coeff_closed_form(mono) == sh_pbw((3, 2)).coeff(mono)
 
     def test_every_monomial_matches_rewrite(self):
         for d in range(8):
             for i in range(d + 1):
-                rewritten = sh_pbw((i, d - i), 2)
-                for mono in enumerate_pbw_monomials(2, (d - i, i)):
+                rewritten = sh_pbw((i, d - i))
+                for mono in enumerate_pbw_monomials((d - i, i)):
                     c = coeff_closed_form(mono)
                     assert type(c) is int
                     assert c == rewritten.coeff(mono)
