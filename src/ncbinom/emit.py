@@ -1,17 +1,21 @@
 """Text, LaTeX and JSON output for word-basis and PBW-basis polynomials.
 
-Every format reads one walk, ``SparseCombination.walk``: the terms in key
+Every format reads a ``freepoly.TermStream``: ``walk()``, the terms in key
 order as (factors, coefficient), where a word w is the single factor (w, 1)
-and a PBW monomial is its tuple of (Lyndon word, exponent) factors.
+and a PBW monomial is its tuple of (Lyndon word, exponent) factors; ``m``;
+``basis``; and ``ring``.  A stored ``SparseCombination`` sorts its terms; a
+closed route's ``WordStream`` yields them in key order and stores none.
 
-- Text is ``str(p)``, its terms spelled by ``SparseCombination.text_terms``:
+- Text is ``str(p)``, its terms spelled by ``TermStream.text_terms``:
   ``2*E(12) + -1*E(2)*E(1)``, which the CLI's expression parser reads back.
 - LaTeX spells a word-basis letter a as ``x_{a}`` and a PBW factor as
   ``E_{α}^{t}``; a coefficient of ±1 shows only its sign and a negative term
   joins with ``-``: ``3x_{1}x_{2}-x_{2}``, ``2E_{12}^{2}E_{1}-E_{2}``.
 - JSON documents round-trip losslessly: {"ring": ..., "basis": "word"|"pbw",
   "alphabet": m, "terms": [...]} with coefficients rendered as strings.  The
-  ring tag is read from every coefficient: one q-polynomial makes it Q[q].
+  ring tag is ``p.ring``: a stored combination reads it from every
+  coefficient (one q-polynomial makes it Q[q]); a stream declares it from
+  the few coefficients it can yield, so it is known before any term is.
 
 ``emit`` writes every format in chunks of ``CHUNK_TERMS`` terms, so the whole
 printout of a large polynomial is never held at once; ``emit_latex`` and
@@ -30,16 +34,6 @@ from .freepoly import FreePoly
 from .pbw import PBWPoly, validate_monomial
 from .rings import ModInt, QPoly
 from .words import format_word, parse_word
-
-
-def ring_tag(coeff) -> str:
-    if isinstance(coeff, (int, Fraction)):
-        return "Q"
-    if isinstance(coeff, QPoly):
-        return "Q[q]"
-    if isinstance(coeff, ModInt):
-        return f"GF:{coeff.p}"
-    raise TypeError(f"unknown coefficient type {type(coeff).__name__}")
 
 
 _QTERM = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*?)?(q(?:\^(\d+))?)?$")
@@ -129,18 +123,9 @@ def _json_term(basis: str, factors, m: int) -> dict:
     return {"factors": [[format_word(a, m), t] for a, t in factors]}
 
 
-def _poly_ring(p) -> str:
-    """The ring tag of all of p's coefficients: an int or Fraction among
-    q-polynomials or GF(p) elements is read in their ring; an empty p is Q."""
-    tags = {ring_tag(c) for c in p.terms.values()} - {"Q"}
-    if len(tags) > 1:
-        raise TypeError(f"coefficients from different rings: {', '.join(sorted(tags))}")
-    return tags.pop() if tags else "Q"
-
-
 def _json_head(p) -> dict:
     """p's document with no terms yet; raises TypeError on mixed rings."""
-    return {"ring": _poly_ring(p), "basis": p.basis, "alphabet": p.m, "terms": []}
+    return {"ring": p.ring, "basis": p.basis, "alphabet": p.m, "terms": []}
 
 
 def _json_terms(p):

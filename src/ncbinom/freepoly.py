@@ -17,20 +17,53 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
-from .rings import QPoly
+from .rings import QPoly, ring_of
 from .words import Word, content_words, format_word
 
 _SCALARS = (int, Fraction, QPoly)
 
 
-class SparseCombination:
+class TermStream:
+    """What every printout reads: ``walk()``, the terms in key order as
+    (factors, coefficient) with each factor a (word, exponent) pair; the
+    alphabet size ``m``; the JSON ``basis`` tag; and the ``ring`` tag.
+
+    ``SparseCombination`` stores its terms and reads its ring off them.
+    ``WordStream`` produces its terms from a closed formula, stores none and
+    declares its ring from the few coefficients it can yield.
+    """
+
+    __slots__ = ()
+
+    def text_terms(self):
+        """Text of each term in key order, ``c*E(w)^t`` with a multi-term
+        coefficient in parentheses; the text form joins them with `` + ``."""
+        for factors, c in self.walk():
+            s = str(c)
+            if " " in s:
+                s = f"({s})"
+            body = "*".join(f"E({format_word(a, self.m)})" + (f"^{t}" if t > 1 else "")
+                            for a, t in factors)
+            yield f"{s}*{body or 1}"
+
+    def __str__(self):
+        """Text form, read back by the CLI's expression parser; ``0`` when
+        there are no terms."""
+        return " + ".join(self.text_terms()) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class SparseCombination(TermStream):
     """Finitely supported map key -> coefficient over a fixed alphabet size.
 
     The shared linear structure of the word basis (``FreePoly``) and the PBW
     basis (``PBWPoly``).  Equality is by class, since both key the unit by ().
     Each subclass names its JSON ``basis`` tag and, in ``factors``, splits a
-    key into (word, exponent) factors; every printout reads ``walk``.
+    key into (word, exponent) factors.
     """
 
     __slots__ = ("terms", "m")
@@ -118,24 +151,11 @@ class SparseCombination:
         for key in sorted(terms):
             yield self.factors(key), terms[key]
 
-    def text_terms(self):
-        """Text of each term in key order, ``c*E(w)^t`` with a multi-term
-        coefficient in parentheses; the text form joins them with `` + ``."""
-        for factors, c in self.walk():
-            s = str(c)
-            if " " in s:
-                s = f"({s})"
-            body = "*".join(f"E({format_word(a, self.m)})" + (f"^{t}" if t > 1 else "")
-                            for a, t in factors)
-            yield f"{s}*{body or 1}"
-
-    def __str__(self):
-        """Text form, read back by the CLI's expression parser; ``0`` when
-        there are no terms."""
-        return " + ".join(self.text_terms()) or "0"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
+    @property
+    def ring(self) -> str:
+        """The ring tag, read from every coefficient; raises TypeError on
+        mixed rings."""
+        return ring_of(self.terms.values())
 
 
 class FreePoly(SparseCombination):
@@ -245,10 +265,50 @@ def shuffle_product(f: FreePoly, g: FreePoly) -> FreePoly:
     return FreePoly(t, f.m)
 
 
-def sh_multidegree(counts) -> FreePoly:
-    """Sum of all words with the given per-letter counts, coefficient 1.
+class WordStream(TermStream):
+    """A word-basis polynomial read off a closed formula, one term at a time.
 
-    ``counts[x-1]`` is the multiplicity of letter x of 1..m, m = len(counts);
-    the words are ``content_words``.
+    ``index()`` yields (word, i) in key order, and the word's coefficient is
+    ``coeffs[i]``: a few coefficient objects that all the words share.  So
+    no term is stored, the ring is declared by ``coeffs`` alone (the route
+    lists only the coefficients it can yield), and ``map_coeffs`` maps those
+    few.  A word whose coefficient is zero is skipped.  ``poly`` reads the
+    stream into a ``FreePoly``, for the routes that do arithmetic on it.
     """
-    return FreePoly._make(dict.fromkeys(content_words(counts), 1), len(counts))
+
+    __slots__ = ("m", "coeffs", "index")
+    basis = "word"
+
+    def __init__(self, m: int, coeffs, index):
+        self.m = m
+        self.coeffs = tuple(coeffs)
+        self.index = index
+
+    @property
+    def ring(self) -> str:
+        return ring_of(c for c in self.coeffs if c)
+
+    def walk(self):
+        cs = self.coeffs
+        for w, i in self.index():
+            if c := cs[i]:
+                yield ((w, 1),), c
+
+    def map_coeffs(self, fn):
+        return WordStream(self.m, map(fn, self.coeffs), self.index)
+
+    def poly(self) -> FreePoly:
+        cs = self.coeffs
+        return FreePoly._make({w: cs[i] for w, i in self.index() if cs[i]}, self.m)
+
+
+def content_stream(counts) -> WordStream:
+    """Every word with ``counts[x-1]`` letters x, coefficient 1, in key
+    order: the ``content_words`` walk over m = len(counts) letters."""
+    return WordStream(len(counts), (1,), lambda: zip(content_words(counts), repeat(0)))
+
+
+def sh_multidegree(counts) -> FreePoly:
+    """Sum of all words with the given per-letter counts, coefficient 1:
+    ``content_stream(counts)`` read into a FreePoly."""
+    return content_stream(counts).poly()

@@ -9,8 +9,8 @@ from math import comb
 
 from .freepoly import FreePoly, sh_multidegree
 from .quotients import normal_order, normal_power
-from .rings import (DivisionNotExact, QPoly, cyclotomic, exponent_vectors,
-                    q_binomial, qpoly_exact_div)
+from .rings import (DivisionNotExact, cyclotomic, exponent_vectors, q_binomial,
+                    qpoly_exact_div)
 
 # alphabet convention: letter 1 = g, letter 2 = h
 _G, _H = 1, 2
@@ -49,7 +49,7 @@ def faa_di_bruno_check(m: int, n: int) -> bool:
 
 def _quantum_plane_rule(a, b):
     """g h -> q h g, the one relation of the quantum plane."""
-    return (((b, a), QPoly.q(1)),) if (a, b) == (_G, _H) else None
+    return (((b, a), 1),) if (a, b) == (_G, _H) else None
 
 
 def q_binomial_theorem_check(n: int) -> bool:

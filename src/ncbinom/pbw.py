@@ -347,7 +347,8 @@ def enumerate_pbw_monomials(counts):
 
 def reduce_mod_p(p_poly: SparseCombination, p: int) -> SparseCombination:
     """Reduce the rational coefficients of a word-basis or PBW polynomial mod
-    p (denominators must be units)."""
+    p (denominators must be units).  A ``WordStream`` maps only its few
+    shared coefficients and stays a stream."""
     return p_poly.map_coeffs(lambda c: to_mod_p(c, p))
 
 

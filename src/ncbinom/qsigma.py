@@ -20,8 +20,16 @@ sum_{|S|=b} q^{sum S} = q^{b(b+1)/2} [n-1, b]_q, the subset-sum form of the
 Gaussian binomial.  By the second binomial theorem the built-in Ore pairs,
 the grading with ad_q x and the identity with ad x, have the coefficients
 [n,k]_q B_q(k) and C(n,k) B(k) on x^{n-k}.  ``qbell_closed`` and
-``ore_closed`` read these; the recursions and ``ore_binomial`` stay as the
-second routes of ``verify`` and the route for operators from a spec.
+``ore_closed`` read these as ``WordStream``s: the words of length n come in
+key order from ``itertools.product`` (or ``content_words`` for one k), each
+tagged with its count b of trailing x's, so only the n coefficients c_b are
+built and no word is stored.  The recursions and ``ore_binomial`` stay as
+the second routes of ``verify`` and the route for operators from a spec.
+
+Summed with x and y commuting, B_q(n) is y prod_{i=1}^{n-1} (y + (1 - q^i) x):
+the q-binomial theorem gives e_b(q, ..., q^{n-1}) = q^{b(b+1)/2} [n-1, b]_q,
+and the words with b trailing x's and j letters x in all number
+C(n-1-b, j-b).  ``verify qbell`` checks this image at the degree it is given.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from functools import lru_cache, partial
 from itertools import product
 from math import comb
 
-from .freepoly import FreePoly
+from .freepoly import FreePoly, WordStream
 from .rings import QPoly, q_binomial
 from .words import content_words
 
@@ -240,31 +248,34 @@ def _qbell_coeff(n: int, b: int):
     return -c if b % 2 else c
 
 
-def _bell_words(n: int, coeff, k: int = None) -> FreePoly:
+def _bell_stream(n: int, coeff, k: int = None) -> WordStream:
     """sum_b coeff(b) sum_P P y x^b over the words P of length n-1-b, only
     those with k-1 letters y when k is given; coeff(0) on the empty word at
-    n = 0.  Each coefficient is computed once and shared by its words."""
+    n = 0.  The words are walked in key order, each given the index b of its
+    trailing x's; only the coefficients of the b that occur are built."""
     if n == 0 and not k:
-        return FreePoly({(): coeff(0)}, 2)
-    if k == 0:
-        return FreePoly.zero(2)
-    terms = {}
-    for b in range(n - (k or 1) + 1):
-        c, tail, length = coeff(b), (2,) + (1,) * b, n - 1 - b
-        heads = (product((1, 2), repeat=length) if k is None
-                 else content_words((length - k + 1, k - 1)))
-        for head in heads:
-            terms[(*head, *tail)] = c
-    return FreePoly._make(terms, 2)
+        return WordStream(2, (coeff(0),), lambda: [((), 0)])
+    if k is not None and not 0 < k <= n:
+        return WordStream(2, (), lambda: [])
+
+    def index():
+        if k is None:
+            words = product((1, 2), repeat=n)
+            next(words)  # x^n, the one word with no y
+        else:
+            words = content_words((n - k, k))
+        return ((w, w[::-1].index(2)) for w in words)
+    return WordStream(2, map(coeff, range(n - (k or 1) + 1)), index)
 
 
-def qbell_closed(n: int, k: int = None) -> FreePoly:
+def qbell_closed(n: int, k: int = None) -> WordStream:
     """B_q(n) by the closed word-basis formula of the module docstring, or its
     part B_q(n,k) with k letters y: zero for k > n; a negative n or k raises
-    ValueError.  Equals ``qbell(n)`` and ``bell_partials(n, grading_sigma)[k]``."""
+    ValueError.  Read into a FreePoly, it equals ``qbell(n)`` and
+    ``bell_partials(n, grading_sigma)[k]``."""
     if n < 0 or (k is not None and k < 0):
         raise ValueError("negative index")
-    return _bell_words(n, partial(_qbell_coeff, n), k)
+    return _bell_stream(n, partial(_qbell_coeff, n), k)
 
 
 @lru_cache(maxsize=None)
@@ -326,9 +337,10 @@ def ore_binomial(n: int, sigma: Op, delta: Op):
     return _sh_hat_coeffs(n, step(delta, _Y), sigma, FreePoly.unit(2))
 
 
-def ore_closed(n: int, sigma: Op) -> list:
+def ore_closed(n: int, sigma: Op):
     """``ore_binomial(n, sigma, ad_sigma(x, sigma))`` for the built-in sigmas,
-    by the second binomial theorem: [n,k]_q B_q(k) on x^{n-k} for
+    by the second binomial theorem, as a generator of one stream per power
+    x^{n-k}, k = 0..n, each built when it is taken: [n,k]_q B_q(k) for
     grading_sigma (the int 1 for [n,n]_q) and C(n,k) B(k), with
     B(k) = sum_b (-1)^b C(k-1,b) sum_P P y x^b, for identity."""
     if n < 0:
@@ -341,4 +353,4 @@ def ore_closed(n: int, sigma: Op) -> list:
             return (-1) ** b * comb(k - 1, b) * comb(n, k) if k else 1
     else:
         raise ValueError("the closed form covers only the identity and the grading")
-    return [_bell_words(k, partial(coeff, k)) for k in range(n + 1)]
+    return (_bell_stream(k, partial(coeff, k)) for k in range(n + 1))

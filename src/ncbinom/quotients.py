@@ -98,13 +98,14 @@ def _add(terms, key, coeff):
 
 
 def normal_order(poly, rule):
-    """Rewrite a dict word-tuple -> coefficient to normal order.
+    """Rewrite a dict word-tuple -> QPoly to normal order.
 
-    ``rule(a, b)`` returns the (replacement, factor) pairs for an out-of-order
-    adjacent pair a b, or None when a b is in order.  The leftmost such pair
-    of a word is replaced by each replacement, times its factor, until no
-    word has one.  Both rules below terminate: each replacement sorts
-    the pair or shortens the word.
+    ``rule(a, b)`` returns the (replacement, k) pairs for an out-of-order
+    adjacent pair a b, each standing for q^k times the replacement, or None
+    when a b is in order.  The leftmost such pair of a word is replaced by
+    each replacement, its coefficient shifted by q^k, until no word has one.
+    Both rules below terminate: each replacement sorts the pair or shortens
+    the word.
     """
     work = dict(poly)
     out = {}
@@ -113,8 +114,8 @@ def normal_order(poly, rule):
         for pos in range(len(word) - 1):
             pairs = rule(word[pos], word[pos + 1])
             if pairs is not None:
-                for replacement, factor in pairs:
-                    _add(work, word[:pos] + replacement + word[pos + 2:], coeff * factor)
+                for replacement, k in pairs:
+                    _add(work, word[:pos] + replacement + word[pos + 2:], coeff.shift(k))
                 break
         else:
             _add(out, word, coeff)
@@ -138,7 +139,7 @@ def normal_power(letters, n: int, normalize):
 
 def qcomm_rule(a, b):
     """d_v d_u -> q^v d_u d_v for v > u."""
-    return (((b, a), QPoly.q(a)),) if a > b else None
+    return (((b, a), a),) if a > b else None
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +207,9 @@ def qcomm_binomial(n: int):
 
 # -- Blumen quotient ---------------------------------------------------------
 
-_BLUMEN_RULES = {("x", "y"): ((("y", "x"), QPoly.q(1)), (("h",), 1)),
-                 ("x", "h"): ((("h", "x"), QPoly.q(2)),),
-                 ("h", "y"): ((("y", "h"), QPoly.q(2)),)}
+_BLUMEN_RULES = {("x", "y"): ((("y", "x"), 1), (("h",), 0)),
+                 ("x", "h"): ((("h", "x"), 2),),
+                 ("h", "y"): ((("y", "h"), 2),)}
 
 
 def blumen_normalize(poly):

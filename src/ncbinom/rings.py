@@ -326,6 +326,26 @@ def cyclotomic(n: int) -> QPoly:
     return qpoly_exact_div(num, den)
 
 
+def ring_tag(coeff) -> str:
+    """The ring of one coefficient: Q, Q[q] or GF:p."""
+    if isinstance(coeff, (int, Fraction)):
+        return "Q"
+    if isinstance(coeff, QPoly):
+        return "Q[q]"
+    if isinstance(coeff, ModInt):
+        return f"GF:{coeff.p}"
+    raise TypeError(f"unknown coefficient type {type(coeff).__name__}")
+
+
+def ring_of(coeffs) -> str:
+    """The ring tag of all of coeffs: an int or Fraction among q-polynomials
+    or GF(p) elements is read in their ring; no coefficients is Q."""
+    tags = {ring_tag(c) for c in coeffs} - {"Q"}
+    if len(tags) > 1:
+        raise TypeError(f"coefficients from different rings: {', '.join(sorted(tags))}")
+    return tags.pop() if tags else "Q"
+
+
 def exponent_vectors(n: int, weights, k: int = None):
     """Tuples t, in lex order, with sum w_i * t_i = n over the given weights.
 

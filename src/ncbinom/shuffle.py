@@ -4,7 +4,9 @@ The closed form gives the coefficient of any PBW monomial in the shuffle type
 polynomial of its multidegree as a factorial quotient times a product of
 per-Lyndon-word integers, computed in exact integers with an explicit
 divisibility check.  Every command takes this route (``sh_closed_form``);
-``sh_pbw`` rewrites the word form, as the second route of ``verify``.
+``sh_pbw`` rewrites the word form, as the second route of ``verify``.  The
+word form itself, ``sh_word``, is a stream of the content's words in key
+order: ``sh --degree`` prints it, over GF(p) too, without storing a word.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .freepoly import FreePoly, sh_multidegree
+from .freepoly import WordStream, content_stream
 from .pbw import (PBWMonomial, PBWPoly, enumerate_pbw_monomials,
                   monomial_degree, monomial_from_word, pbw_rewrite,
                   reduce_mod_p)
@@ -36,14 +38,15 @@ def _letter_counts(counts):
     return tuple(counts)
 
 
-def sh_word(counts) -> FreePoly:
-    """Word form of the shuffle type polynomial with the given SH index."""
-    return sh_multidegree(_letter_counts(counts))
+def sh_word(counts) -> WordStream:
+    """Word form of the shuffle type polynomial with the given SH index: every
+    word of its content with coefficient 1, streamed in key order."""
+    return content_stream(_letter_counts(counts))
 
 
 def sh_pbw(counts) -> PBWPoly:
     """PBW form of the shuffle type polynomial, by rewriting its word form."""
-    return pbw_rewrite(sh_word(counts))
+    return pbw_rewrite(sh_word(counts).poly())
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,7 +16,7 @@ from . import bell, clear_caches, identities, qsigma, quotients, shuffle
 from .freepoly import FreePoly
 from .pbw import (PBWPoly, commutator_ls, enumerate_pbw_monomials,
                   monomial_word, pbw_expand_monomial, pbw_rewrite)
-from .rings import q_binomial
+from .rings import QPoly, q_binomial
 from .shuffle import sh_closed_form, sh_pbw, sh_pbw_char_p, CharPViolation
 from .words import lyndon_enumerate
 
@@ -239,23 +240,50 @@ def verify_theorem_b(max_n: int = 6):
     return True, f"n <= {max_n}, sigmas id, grading and swap"
 
 
-def verify_qbell(max_n: int = 6):
+def _qbell_image_mismatch(n: int):
+    """None if the stream B_q(n) has 2^n - 1 words and its commutative image,
+    summed in one pass, is y prod_{i=1}^{n-1} (y + (1 - q^i) x), else the
+    failure.  The image is keyed by the count j of letters x; its coefficient
+    is e_j(1 - q, ..., 1 - q^{n-1}), built by the product's Pascal rule.
+    The words share a few coefficient objects, so the pass tallies each
+    (j, coefficient) pair by the object's id and multiplies once at the end."""
+    tally, coeffs = Counter(), {}
+    for ((w, _),), c in qsigma.qbell_closed(n).walk():
+        tally[w.count(1), id(c)] += 1
+        coeffs[id(c)] = c
+    count = sum(tally.values())
+    if count != 2 ** n - 1:
+        return f"{count} words in B_q({n}), not {2 ** n - 1}"
+    image = {}
+    for (j, i), times in tally.items():
+        image[j] = image.get(j, 0) + coeffs[i] * times
+    want = [QPoly.one()]
+    for i in range(1, n):
+        factor = QPoly.one() - QPoly.q(i)
+        want = [a + factor * b for a, b in zip(want + [0], [0] + want)]
+    if {j: c for j, c in image.items() if c} != {j: c for j, c in enumerate(want) if c}:
+        return f"commutative image of B_q({n}) mismatch"
+    return None
+
+
+def verify_qbell(max_n: int = 6, image_n: int = 6):
     """q-Bell binomial identity and the q=1 collapse to plain Bell; the closed
     word-basis form against the step recursion, the q-triangle partials and,
     at q = 1, the Bell partials; the built-in Ore pairs read off it against
-    ``ore_binomial`` at n = max_n."""
+    ``ore_binomial`` at n = max_n.  At n = image_n, the degree ``qbell``
+    prints, the stream's word count and commutative image are checked."""
     for n in range(max_n + 1):
         if not qsigma.binomial_q_verify(n):
             return False, f"q-binomial identity failed at n={n}"
         if qsigma.qbell_at_one(n) != bell.bell_word(n):
             return False, f"q=1 specialization failed at n={n}"
-        if qsigma.qbell_closed(n) != qsigma.qbell(n):
+        if qsigma.qbell_closed(n).poly() != qsigma.qbell(n):
             return False, f"closed q-Bell form mismatch at n={n}"
         parts = qsigma.bell_partials(n, qsigma.grading_sigma)
         for k, part in enumerate(parts):
             if part != qsigma.qbell_partial_alt(n, k):
                 return False, f"alternative recursion mismatch at ({n},{k})"
-            closed = qsigma.qbell_closed(n, k)
+            closed = qsigma.qbell_closed(n, k).poly()
             if closed != part:
                 return False, f"closed partial mismatch at ({n},{k})"
             if qsigma.at_q_one(closed) != qsigma.bell_partials(n)[k]:
@@ -264,9 +292,13 @@ def verify_qbell(max_n: int = 6):
             return False, f"partial q-Bell sum mismatch at n={n}"
     for name, sigma in (("id", qsigma.identity), ("grading", qsigma.grading_sigma)):
         delta = qsigma.ad_sigma(FreePoly.letter(1, 2), sigma)
-        if qsigma.ore_closed(max_n, sigma) != qsigma.ore_binomial(max_n, sigma, delta):
+        closed = [block.poly() for block in qsigma.ore_closed(max_n, sigma)]
+        if closed != qsigma.ore_binomial(max_n, sigma, delta):
             return False, f"closed Ore coefficients mismatch at n={max_n}, sigma={name}"
-    return True, f"n <= {max_n}"
+    mismatch = _qbell_image_mismatch(image_n)
+    if mismatch:
+        return False, mismatch
+    return True, f"n <= {max_n}, commutative image at n = {image_n}"
 
 
 def verify_qcomm(max_n: int = 8):
@@ -363,7 +395,7 @@ SUITES = {
     "theorem-c": lambda d: verify_theorem_c(min(d, 7)),
     "lemma42": lambda d: verify_lemma42(min(d, 7), min(d, 6)),
     "theorem-b": lambda d: verify_theorem_b(min(d, 6)),
-    "qbell": lambda d: verify_qbell(min(d, 6)),
+    "qbell": lambda d: verify_qbell(min(d, 6), max(d, 1)),
     "qcomm": lambda d: verify_qcomm(min(d + 2, 8)),
     "blumen": lambda d: verify_blumen(min(d, 6), min(d + 2, 8)),
     "charp": lambda d: verify_charp(),

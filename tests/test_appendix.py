@@ -40,7 +40,7 @@ class TestGoldenText:
             n, _, kj = head.partition(" ")
             k, j = map(int, kj.split(","))
             assert sep and int(n) == k + j
-            assert parse_expression(_bracket_words(text), 2) == sh_word((k, j)), head
+            assert parse_expression(_bracket_words(text), 2) == sh_word((k, j)).poly(), head
             heads.append((int(n), k))
         assert heads == [(n, k) for n in (5, 6, 7) for k in range(n + 1)]
 

@@ -695,7 +695,7 @@ class TestJsonPipeline:
         (("bell", "--n", "4", "--dual"), [f"B*(4,{k})" for k in range(5)],
          lambda: [bell_dual(4, k) for k in range(5)]),
         (("ore", "--n", "3", "--sigma", "grading"), [f"coeff of x^{3 - k}" for k in range(4)],
-         lambda: qsigma.ore_closed(3, qsigma.grading_sigma)),
+         lambda: [block.poly() for block in qsigma.ore_closed(3, qsigma.grading_sigma)]),
     ])
     def test_labelled_parts_are_one_json_document_per_line(self, capsys, argv, labels, parts):
         code, out, err = run(capsys, *argv, "--format", "json")
@@ -703,6 +703,26 @@ class TestJsonPipeline:
         assert (code, err) == (0, "")
         assert [next(iter(doc.items())) for doc in docs] == [("label", x) for x in labels]
         assert [parse_json(doc) for doc in docs] == parts()
+
+    # a stream declares its ring from the coefficients it can yield: c_0 = 1
+    # alone on B_q(1) and B_q(3,3), none on B_q(3,4); [2,0]_q = 1 is a Q[q] one
+    @pytest.mark.parametrize("argv, rings", [
+        (("qbell", "--n", "1"), ["Q"]),
+        (("qbell", "--n", "3", "--k", "3"), ["Q"]),
+        (("qbell", "--n", "3", "--k", "4"), ["Q"]),
+        (("ore", "--n", "2", "--sigma", "grading"), ["Q[q]"] * 3),
+        (("sh", "--degree", "2,2", "--ring", "GF:3"), ["GF:3"]),
+    ])
+    def test_stream_ring_tags_and_round_trip(self, capsys, argv, rings):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [doc["ring"] for doc in docs] == rings
+        for doc in docs:
+            doc.pop("label", None)
+            assert emit_json(parse_json(doc)) == doc
+        if argv[0] == "ore":
+            assert docs[0]["terms"] == [{"coeff": "1", "word": "e"}]
 
 
 _TOKENS = ["E(1)", "E(2)", "E(12)", "E(3)", "E()", "0", "1", "2", "3", "/",

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncbinom import verify
-from ncbinom.freepoly import FreePoly, commutator, sh_multidegree, shuffle_product
-from ncbinom.rings import QPoly
+from ncbinom.freepoly import (FreePoly, WordStream, commutator, content_stream, sh_multidegree,
+                              shuffle_product)
+from ncbinom.pbw import reduce_mod_p
+from ncbinom.rings import ModInt, QPoly
 
 from test_words import small_contents
 
@@ -298,6 +300,41 @@ class TestShuffleTypePolynomials:
         p = sh_multidegree((1, 1, 1))
         assert len(p.terms) == 6
         assert all(sorted(w) == [1, 2, 3] for w in p.terms)
+
+
+class TestWordStream:
+    @pytest.mark.parametrize("counts", [(0, 0), (16, 0), (8, 8), (10, 6), (4, 4, 4),
+                                        (2, 3, 4), (1,) * 7, (0, 3, 0, 2)])
+    def test_content_term_count_is_the_multinomial(self, counts):
+        # counted off the walk, no dict built
+        want = math.factorial(sum(counts))
+        for c in counts:
+            want //= math.factorial(c)
+        assert sum(1 for _ in content_stream(counts).walk()) == want
+
+    def test_reads_into_the_same_poly_and_prints_the_same(self):
+        for counts in ((2, 2), (3, 1, 2)):
+            stream, poly = content_stream(counts), sh_multidegree(counts)
+            assert stream.poly() == poly
+            assert list(stream.walk()) == list(poly.walk())
+            assert str(stream) == str(poly) and stream.m == poly.m == len(counts)
+
+    def test_map_coeffs_maps_the_few_coefficients_and_drops_zeros(self):
+        words = [((1,), 0), ((1, 2), 1), ((2,), 2)]
+        stream = WordStream(2, (1, 5, Fraction(1, 2)), lambda: iter(words))
+        reduced = reduce_mod_p(stream, 5)
+        assert isinstance(reduced, WordStream)
+        assert reduced.coeffs == (ModInt(1, 5), ModInt(0, 5), ModInt(3, 5))
+        assert reduced.poly() == FreePoly({(1,): ModInt(1, 5), (2,): ModInt(3, 5)}, 2)
+        assert [c for _, c in reduced.walk()] == [ModInt(1, 5), ModInt(3, 5)]
+        assert reduced.ring == "GF:5"
+        assert reduce_mod_p(WordStream(2, (5,), lambda: iter(words[:1])), 5).ring == "Q"
+
+    def test_ring_is_read_off_the_declared_coefficients(self):
+        assert WordStream(2, (1, QPoly.q()), lambda: iter(())).ring == "Q[q]"
+        assert WordStream(2, (), lambda: iter(())).ring == "Q"
+        with pytest.raises(TypeError, match="different rings"):
+            WordStream(2, (QPoly.q(), ModInt(1, 5)), lambda: iter(())).ring
 
 
 class TestErrors:

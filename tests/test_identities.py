@@ -45,9 +45,9 @@ _WRONG_BINOMIAL_DETAIL = "quantum-plane binomial failed at n=7"
 
 # the quantum-plane rule planted with q^2 in place of q
 _PLANT_WRONG_RULE = (
-    "from ncbinom import identities, rings\n"
+    "from ncbinom import identities\n"
     "def planted(a, b):\n"
-    "    return (((b, a), rings.QPoly.q(2)),) if (a, b) == (1, 2) else None\n")
+    "    return (((b, a), 2),) if (a, b) == (1, 2) else None\n")
 _WRONG_RULE_DETAIL = "quantum-plane binomial failed at n=2"
 
 

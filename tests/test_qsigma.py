@@ -364,31 +364,33 @@ def faulty_coeff_source(fault):
 class TestClosedForm:
     def test_equals_the_step_recursion(self):
         for n in range(11):
-            assert qbell_closed(n) == qbell(n), n
+            assert qbell_closed(n).poly() == qbell(n), n
 
     def test_partials_equal_the_q_triangle_and_at_one_the_bell_partials(self):
         for n in range(10):
             q_parts, parts = bell_partials(n, grading_sigma), bell_partials(n)
             for k in range(n + 1):
-                closed = qbell_closed(n, k)
+                closed = qbell_closed(n, k).poly()
                 assert closed == q_parts[k], (n, k)
                 assert at_q_one(closed) == parts[k], (n, k)
 
     @pytest.mark.parametrize("sigma", [identity, grading_sigma])
     def test_builtin_ore_pairs_equal_ore_binomial(self, sigma):
         for n in range(8):
-            assert ore_closed(n, sigma) == ore_binomial(n, sigma, ad_sigma(X, sigma)), n
+            closed = [block.poly() for block in ore_closed(n, sigma)]
+            assert closed == ore_binomial(n, sigma, ad_sigma(X, sigma)), n
 
     def test_words_share_n_coefficients(self):
         # 2^n - 1 words, every word with a y, and one coefficient object per b
         for n in range(1, 9):
-            terms = qbell_closed(n).terms
+            terms = qbell_closed(n).poly().terms
             assert len(terms) == 2 ** n - 1
             assert len({id(c) for c in terms.values()}) == n
 
     def test_edge_cases(self):
-        assert qbell_closed(0) == qbell_closed(0, 0) == FreePoly.unit(2)
-        assert qbell_closed(3, 0) == qbell_closed(3, 4) == qbell_closed(0, 1) == FreePoly.zero(2)
+        assert qbell_closed(0).poly() == qbell_closed(0, 0).poly() == FreePoly.unit(2)
+        for n, k in ((3, 0), (3, 4), (0, 1)):
+            assert qbell_closed(n, k).poly() == FreePoly.zero(2), (n, k)
         for bad in (lambda: qbell_closed(-1), lambda: qbell_closed(3, -1),
                     lambda: qbell_closed(-1, 0)):
             with pytest.raises(ValueError, match="negative index"):
@@ -401,12 +403,12 @@ class TestClosedForm:
     def test_integer_coefficients_where_sigma_never_acts(self):
         # the JSON ring tag reads the coefficient types: int on the words
         # P y and on [n,n]_q B_q(n) at b = 0, q-polynomials elsewhere
-        assert type(qbell_closed(3).coeff((1, 1, 2))) is int
-        assert type(qbell_closed(3).coeff((1, 2, 1))) is QPoly
-        grading = ore_closed(2, grading_sigma)
+        assert type(qbell_closed(3).poly().coeff((1, 1, 2))) is int
+        assert type(qbell_closed(3).poly().coeff((1, 2, 1))) is QPoly
+        grading = [block.poly() for block in ore_closed(2, grading_sigma)]
         assert type(grading[0].coeff(())) is QPoly
         assert type(grading[2].coeff((1, 2))) is int
-        assert all(type(c) is int for p in ore_closed(5, identity) for c in p.terms.values())
+        assert all(type(c) is int for p in ore_closed(5, identity) for _, c in p.walk())
 
     @pytest.mark.parametrize("fault", sorted(COEFF_FAULTS))
     def test_planted_coefficient_fault_fails_verify(self, monkeypatch, fault):
@@ -426,8 +428,9 @@ class TestClosedForm:
 
     def test_verify_qbell_sees_a_wrong_closed_partial(self, monkeypatch):
         closed = qsigma.qbell_closed
+        # every coefficient of B_q(n,2) one too large
         monkeypatch.setattr(qsigma, "qbell_closed", lambda n, k=None: (
-            closed(n, k) + Y ** n if k == 2 else closed(n, k)))
+            closed(n, k).map_coeffs(lambda c: c + 1) if k == 2 else closed(n, k)))
         assert run_suite("qbell", 4) == (False, "closed partial mismatch at (2,2)")
 
     @pytest.mark.parametrize("name, sigma", [("id", identity), ("grading", grading_sigma)])
@@ -435,11 +438,102 @@ class TestClosedForm:
         closed = qsigma.ore_closed
 
         def bumped(n, s):
-            coeffs = closed(n, s)
-            return coeffs[:-1] + [coeffs[-1] + X ** n] if s is sigma else coeffs
+            # every coefficient of the x^0 block one too large
+            blocks = list(closed(n, s))
+            if s is sigma:
+                blocks[-1] = blocks[-1].map_coeffs(lambda c: c + 1)
+            return blocks
         monkeypatch.setattr(qsigma, "ore_closed", bumped)
         assert run_suite("qbell", 4) == (
             False, f"closed Ore coefficients mismatch at n=4, sigma={name}")
+
+
+# B_q(n) planted with a fault only from n = 8 on, past the n <= 6 that the
+# recursions check, so only the check at the printed degree can see it:
+# (the qsigma name replaced, the source of its replacement, the FAIL detail)
+IMAGE_FAULTS = {
+    "c_1 with its sign flipped": (
+        "_qbell_coeff",
+        "coeff = qsigma._qbell_coeff\n"
+        "def planted(n, b):\n"
+        "    c = coeff(n, b)\n"
+        "    return -c if n >= 8 and b == 1 else c\n",
+        "commutative image of B_q(8) mismatch"),
+    "one word dropped": (
+        "qbell_closed",
+        "from itertools import islice\n"
+        "from ncbinom.freepoly import WordStream\n"
+        "closed = qsigma.qbell_closed\n"
+        "def planted(n, k=None):\n"
+        "    s = closed(n, k)\n"
+        "    if n < 8:\n"
+        "        return s\n"
+        "    return WordStream(2, s.coeffs, lambda: islice(s.index(), 1, None))\n",
+        "254 words in B_q(8), not 255"),
+}
+
+
+def count_terms(stream):
+    """The terms a stream yields, counted off its walk; no dict is built."""
+    return sum(1 for _ in stream.walk())
+
+
+class TestStreams:
+    def test_qbell_term_counts_are_the_closed_counts(self):
+        for n in range(17):
+            assert count_terms(qbell_closed(n)) == max(2 ** n - 1, 1), n
+            assert count_terms(qbell_closed(n, 0)) == (n == 0), n
+            for k in range(1, n + 2):
+                assert count_terms(qbell_closed(n, k)) == comb(n, k), (n, k)
+
+    def test_ore_block_term_counts_are_the_closed_counts(self):
+        # the block of x^{n-k} is [n,k]_q B_q(k): 2^k - 1 words, 1 at k = 0
+        for sigma in (identity, grading_sigma):
+            counts = [count_terms(block) for block in ore_closed(16, sigma)]
+            assert counts == [1] + [2 ** k - 1 for k in range(1, 17)]
+
+    def test_ore_blocks_are_built_one_at_a_time(self):
+        blocks = ore_closed(3, grading_sigma)
+        assert not isinstance(blocks, list)
+        assert [block.poly() for block in blocks] == ore_binomial(
+            3, grading_sigma, ad_sigma(X, grading_sigma))
+        assert list(blocks) == []
+
+    def test_words_come_in_key_order(self):
+        for stream in (qbell_closed(9), qbell_closed(9, 4), *ore_closed(6, grading_sigma)):
+            words = [factors for factors, _ in stream.walk()]
+            assert words == sorted(words)
+
+    def test_ring_is_declared_from_the_coefficients_a_stream_yields(self):
+        # b <= n - k: B_q(3,3) = yyy has only c_0 = 1, B_q(3,4) nothing
+        assert [qbell_closed(n, k).ring for n, k in ((1, None), (3, 3), (3, 4), (3, 0))] == \
+            ["Q"] * 4
+        assert qbell_closed(2).ring == qbell_closed(3, 2).ring == "Q[q]"
+        assert [block.ring for block in ore_closed(2, grading_sigma)] == ["Q[q]"] * 3
+        assert [block.ring for block in ore_closed(1, grading_sigma)] == ["Q[q]", "Q"]
+        assert {block.ring for block in ore_closed(4, identity)} == {"Q"}
+
+    @pytest.mark.parametrize("fault", sorted(IMAGE_FAULTS))
+    def test_verify_qbell_sees_a_fault_at_the_printed_degree(self, monkeypatch, fault):
+        name, source, detail = IMAGE_FAULTS[fault]
+        scope = {"qsigma": qsigma}
+        exec(source, scope)
+        monkeypatch.setattr(qsigma, name, scope["planted"])
+        assert run_suite("qbell", 7) == (True, "n <= 6, commutative image at n = 7")
+        assert run_suite("qbell", 8) == (False, detail)
+
+    @pytest.mark.parametrize("fault", sorted(IMAGE_FAULTS))
+    def test_verify_qbell_sees_a_fault_at_the_printed_degree_under_O(self, verify_under_O,
+                                                                      fault):
+        name, source, detail = IMAGE_FAULTS[fault]
+        done = verify_under_O("qbell", f"from ncbinom import qsigma\n{source}"
+                                       f"qsigma.{name} = planted\n", "--max-degree", "8")
+        assert done.returncode == 1, done.stderr.decode()
+        assert done.stdout == f"qbell: FAIL ({detail})\n".encode()
+
+    def test_verify_qbell_names_the_degree_of_its_image_check(self):
+        assert run_suite("qbell", 0) == (True, "n <= 0, commutative image at n = 1")
+        assert run_suite("qbell", 12) == (True, "n <= 6, commutative image at n = 12")
 
 
 class TestOre:

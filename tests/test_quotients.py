@@ -240,6 +240,16 @@ class TestQComm:
                             (3, 1): QPoly.one(), (1, 3): QPoly.one()}, qcomm_rule)
         assert got == {(1, 3): QPoly((1, 0, 0, 1))}
 
+    def test_normalize_shifts_and_never_multiplies(self, monkeypatch):
+        # every rule's factor is a monomial q^k, so a coefficient is shifted
+        def refuse(self, other):
+            raise AssertionError("a QPoly product in normal_order")
+        monkeypatch.setattr(QPoly, "__mul__", refuse)
+        monkeypatch.setattr(QPoly, "__rmul__", refuse)
+        assert normal_order({(3, 1, 2): QPoly.one()}, qcomm_rule) == {(1, 2, 3): QPoly.q(6)}
+        assert blumen_normalize({("x", "y"): QPoly((1, 1))}) == {
+            ("y", "x"): QPoly((0, 1, 1)), ("h",): QPoly((1, 1))}
+
     def test_normalize_confluence(self):
         # cost only depends on the multiset inversion structure
         import itertools

@@ -86,7 +86,8 @@ def _argvs(tmp_path):
                            ["pbw", "--expr", "E(21)"], ["qbell", "--n", "4"], ["bell", "--n", "3"])]
     return [["--help"], *helps, *formats,
             ["lyndon", "--alphabet", "3", "--max-len", "4"], ["factorize", "--word", "21212"],
-            ["sh", "--degree", "2,2"], ["qbell", "--n", "4", "--k", "2"],
+            ["sh", "--degree", "2,2"], ["sh", "--degree", "2,2", "--ring", "GF:3"],
+            ["qbell", "--n", "4", "--k", "2"],
             ["ore", "--n", "4", "--sigma", "id"],
             ["binom", "--degree", "5", "--ring", "GF:5"],
             ["sh", "--degree", "2,3", "--pbw", "--ring", "GF:5"],
