@@ -298,8 +298,7 @@ class WordStream(TermStream):
         return WordStream(self.m, map(fn, self.coeffs), self.index)
 
     def poly(self) -> FreePoly:
-        cs = self.coeffs
-        return FreePoly._make({w: cs[i] for w, i in self.index() if cs[i]}, self.m)
+        return FreePoly._make({w: c for ((w, _),), c in self.walk()}, self.m)
 
 
 def content_stream(counts) -> WordStream:
