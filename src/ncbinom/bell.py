@@ -5,15 +5,16 @@ index (n, k) is homogeneous with k letters 2 and n-k letters 1; by definition
 it is SH_{k,n-k}(y*, ad x)(1), read off ``qsigma.bell_partials``.  The dual
 family ``_dual_rec`` is evaluated with swapped roles (x = letter 2, y = letter
 1), the argument order the filter identity needs.  Theorem C reads both off
-the closed-form shuffle type polynomials through ``drop_boundary``.
+the closed-form shuffle type polynomials through ``drop_boundary``, which
+filters the stream term by term: ``bell`` stores no term.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-from .freepoly import FreePoly
-from .pbw import PBWPoly, pbw_rewrite
+from .freepoly import FreePoly, TermStream
+from .pbw import PBWPoly, PBWStream, pbw_rewrite
 from .qsigma import bell_partials
 from .rings import exponent_vectors
 from .shuffle import sh_closed_form, sh_pbw
@@ -25,31 +26,30 @@ _Y = FreePoly.letter(2, 2)
 _BOUNDARY = {"rightmost_not_E1": (-1, (1,)), "leftmost_not_E2": (0, (2,))}
 
 
-def drop_boundary(p: PBWPoly, side: str) -> PBWPoly:
-    """p without the terms whose last PBW factor is E_1 (side='rightmost_not_E1')
-    or whose first factor is E_2 (side='leftmost_not_E2')."""
+def drop_boundary(p: TermStream, side: str) -> PBWStream:
+    """The PBW polynomial p, stored or streamed, as a stream without the terms
+    whose last PBW factor is E_1 (side='rightmost_not_E1') or whose first
+    factor is E_2 (side='leftmost_not_E2')."""
     if side not in _BOUNDARY:
         raise ValueError(f"unknown side {side!r}")
     end, alpha = _BOUNDARY[side]
-    return PBWPoly._make({mono: c for mono, c in p.terms.items()
-                          if not (mono and mono[end][0] == alpha)}, p.m)
+    return PBWStream(p.m, lambda: ((mono, c) for mono, c in p.walk()
+                                   if not (mono and mono[end][0] == alpha)), p.ring)
 
 
-def sh_filter(counts, side: str) -> PBWPoly:
+def sh_filter(counts, side: str) -> PBWStream:
     """Shuffle type polynomial with boundary terms dropped, by the rewrite route."""
     return drop_boundary(sh_pbw(counts), side)
 
 
-def _closed_filter(n: int, k: int, counts, side: str) -> PBWPoly:
+def _closed_filter(n: int, k: int, counts, side: str) -> PBWStream:
     """drop_boundary of the closed-form SH_counts; zero for k > n."""
     if n < 0 or k < 0:
         raise ValueError("negative index")
-    if k > n:
-        return PBWPoly.zero(2)
-    return drop_boundary(sh_closed_form(counts), side)
+    return drop_boundary(sh_closed_form(counts) if k <= n else PBWPoly.zero(2), side)
 
 
-def bell_partial(n: int, k: int) -> PBWPoly:
+def bell_partial(n: int, k: int) -> PBWStream:
     """B(n,k): SH_{k,n-k} without the terms whose last factor is E_1."""
     return _closed_filter(n, k, (k, n - k), "rightmost_not_E1")
 
@@ -67,7 +67,7 @@ def _dual_rec(n: int, x: FreePoly, y: FreePoly) -> FreePoly:
     return out
 
 
-def bell_dual(n: int, k: int) -> PBWPoly:
+def bell_dual(n: int, k: int) -> PBWStream:
     """Part of the dual polynomial at swapped arguments with exactly k letters 1:
     SH_{n-k,k} without the terms whose first factor is E_2."""
     return _closed_filter(n, k, (n - k, k), "leftmost_not_E2")

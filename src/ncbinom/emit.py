@@ -4,7 +4,8 @@ Every format reads a ``freepoly.TermStream``: ``walk()``, the terms in key
 order as (factors, coefficient), where a word w is the single factor (w, 1)
 and a PBW monomial is its tuple of (Lyndon word, exponent) factors; ``m``;
 ``basis``; and ``ring``.  A stored ``SparseCombination`` sorts its terms; a
-closed route's ``WordStream`` yields them in key order and stores none.
+closed route's ``WordStream`` or ``PBWStream`` yields them in key order and
+stores none.
 
 - Text is ``str(p)``, its terms spelled by ``TermStream.text_terms``:
   ``2*E(12) + -1*E(2)*E(1)``, which the CLI's expression parser reads back.
@@ -14,8 +15,8 @@ closed route's ``WordStream`` yields them in key order and stores none.
 - JSON documents round-trip losslessly: {"ring": ..., "basis": "word"|"pbw",
   "alphabet": m, "terms": [...]} with coefficients rendered as strings.  The
   ring tag is ``p.ring``: a stored combination reads it from every
-  coefficient (one q-polynomial makes it Q[q]); a stream declares it from
-  the few coefficients it can yield, so it is known before any term is.
+  coefficient (one q-polynomial makes it Q[q]); a stream declares it, so it
+  is known before any term is.
 
 ``emit`` writes every format in chunks of ``CHUNK_TERMS`` terms, so the whole
 printout of a large polynomial is never held at once; ``emit_latex`` and

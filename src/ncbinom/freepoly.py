@@ -31,8 +31,8 @@ class TermStream:
     alphabet size ``m``; the JSON ``basis`` tag; and the ``ring`` tag.
 
     ``SparseCombination`` stores its terms and reads its ring off them.
-    ``WordStream`` produces its terms from a closed formula, stores none and
-    declares its ring from the few coefficients it can yield.
+    ``WordStream`` and ``pbw.PBWStream`` produce their terms from a closed
+    formula, store none and declare their ring.
     """
 
     __slots__ = ()

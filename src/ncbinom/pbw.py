@@ -40,8 +40,8 @@ from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .freepoly import FreePoly, SparseCombination, commutator
-from .rings import to_mod_p
+from .freepoly import FreePoly, SparseCombination, TermStream, commutator
+from .rings import ring_tag, to_mod_p
 from .words import (Word, cfl_factorize, content_words, is_lyndon,
                     multidegree, standard_factorization)
 
@@ -173,18 +173,30 @@ def ls_basis_element(alpha: Word, m: int = 2) -> FreePoly:
     return _decoded(_basis_codes(alpha, m), len(alpha), m)
 
 
-def monomial_from_word(w: Word) -> PBWMonomial:
-    """Group the CFL factorization of w into (lyndon, exponent) pairs."""
+def monomial_from_word(w: Word, shared: dict = None) -> PBWMonomial:
+    """Group the CFL factorization of w into (lyndon, exponent) pairs.
+
+    Each pair is looked up in the dict ``shared`` and added when new, so the
+    monomials built with one dict hold one object per distinct factor.  The
+    caller owns the dict, and the sharing ends with it; without one, a fresh
+    dict serves this call.
+    """
     if not w:
         return ()
+    share = ({} if shared is None else shared).setdefault
     factors = cfl_factorize(w)
-    grouped = []
+    out, prev, t = [], factors[0], 0
+    # the factors never increase, so equal ones are adjacent
     for f in factors:
-        if grouped and grouped[-1][0] == f:
-            grouped[-1][1] += 1
+        if f == prev:
+            t += 1
         else:
-            grouped.append([f, 1])
-    return tuple((f, e) for f, e in grouped)
+            pair = (prev, t)
+            out.append(share(pair, pair))
+            prev, t = f, 1
+    pair = (prev, t)
+    out.append(share(pair, pair))
+    return tuple(out)
 
 
 def monomial_word(mono: PBWMonomial) -> Word:
@@ -241,6 +253,37 @@ class PBWPoly(SparseCombination):
         for mono, c in self.terms.items():
             out = out + pbw_expand_monomial(mono, self.m).scale(c)
         return out
+
+
+class PBWStream(TermStream):
+    """A PBW-basis polynomial read off a closed formula, one term at a time.
+
+    ``source()`` yields (monomial, coefficient) in key order, and each
+    coefficient is computed as its term is read, so no term is stored.  The
+    ring is declared, since no coefficient is known before the walk: Q by
+    default, and a coefficient map declares the ring of its image of 1.  A
+    monomial whose coefficient is zero is skipped.  ``poly`` reads the stream
+    into a ``PBWPoly``, for the routes that do arithmetic on it.
+    """
+
+    __slots__ = ("m", "source", "ring")
+    basis = "pbw"
+
+    def __init__(self, m: int, source, ring: str = "Q"):
+        self.m = m
+        self.source = source
+        self.ring = ring
+
+    def walk(self):
+        return ((mono, c) for mono, c in self.source() if c)
+
+    def map_coeffs(self, fn):
+        source = self.source
+        return PBWStream(self.m, lambda: ((mono, fn(c)) for mono, c in source()),
+                         ring_tag(fn(1)))
+
+    def poly(self) -> PBWPoly:
+        return PBWPoly._make(dict(self.walk()), self.m)
 
 
 def pbw_expand(p) -> FreePoly:
@@ -307,7 +350,7 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
                     f"expansion of {mono} leaves the word {w} at or below its least word "
                     f"{_decode(last, n, m)}; the PBW basis is not triangular")
             last = k
-            mono = tuple([shared.setdefault(factor, factor) for factor in monomial_from_word(w)])
+            mono = monomial_from_word(w, shared)
             out[mono] = c
             pairs, shift, codes = _factor_parts(mono, m, basis)
             for b, d in pairs:
@@ -336,19 +379,23 @@ def pbw_rewrite(f: FreePoly) -> PBWPoly:
 
 def enumerate_pbw_monomials(counts):
     """All PBW monomials with the given multidegree (per-letter counts of the
-    letters 1..len(counts)).
+    letters 1..len(counts)), as a list in increasing key order.
 
     By the Chen-Fox-Lyndon theorem, w -> monomial_from_word(w) is a bijection
     from the words of content ``counts`` onto these monomials: they are read
     off ``content_words``, which refuses a negative count, in O(output * length).
+    The words come in lex order and the map keeps it, so the monomials come
+    sorted.  Equal (word, exponent) factors of the list are one object.
     """
-    return list(map(monomial_from_word, content_words(counts)))
+    shared = {}
+    return [monomial_from_word(w, shared) for w in content_words(counts)]
 
 
-def reduce_mod_p(p_poly: SparseCombination, p: int) -> SparseCombination:
+def reduce_mod_p(p_poly: TermStream, p: int) -> TermStream:
     """Reduce the rational coefficients of a word-basis or PBW polynomial mod
     p (denominators must be units).  A ``WordStream`` maps only its few
-    shared coefficients and stays a stream."""
+    shared coefficients and stays a stream; a ``PBWStream`` reduces each
+    coefficient as it is walked and declares GF:p."""
     return p_poly.map_coeffs(lambda c: to_mod_p(c, p))
 
 

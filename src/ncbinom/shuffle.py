@@ -3,10 +3,14 @@
 The closed form gives the coefficient of any PBW monomial in the shuffle type
 polynomial of its multidegree as a factorial quotient times a product of
 per-Lyndon-word integers, computed in exact integers with an explicit
-divisibility check.  Every command takes this route (``sh_closed_form``);
-``sh_pbw`` rewrites the word form, as the second route of ``verify``.  The
-word form itself, ``sh_word``, is a stream of the content's words in key
-order: ``sh --degree`` prints it, over GF(p) too, without storing a word.
+divisibility check.  ``sh --pbw``, ``binom`` and ``bell`` take this route,
+and store no term: ``sh_closed_form`` is a ``PBWStream`` that lists the
+monomials of its content in key order and computes each coefficient as the
+printout reads it, and ``binomial_ls`` sorts the lists of all its contents,
+each already sorted, into one.  ``sh_pbw`` rewrites the word form, as the
+second route of ``verify``.  The word form itself, ``sh_word``, is a stream
+of the content's words in key order: ``sh --degree`` prints it, over GF(p)
+too, without storing a word.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .freepoly import WordStream, content_stream
-from .pbw import (PBWMonomial, PBWPoly, enumerate_pbw_monomials,
+from .pbw import (PBWMonomial, PBWPoly, PBWStream, enumerate_pbw_monomials,
                   monomial_degree, monomial_from_word, pbw_rewrite,
                   reduce_mod_p)
 from .rings import exponent_vectors
@@ -77,31 +81,37 @@ def coeff_closed_form(mono: PBWMonomial) -> int:
     return value
 
 
-def sh_closed_form(counts) -> PBWPoly:
-    """Assemble the shuffle type polynomial purely from the closed formula.
+def sh_closed_form(counts) -> PBWStream:
+    """The shuffle type polynomial read purely off the closed formula: its
+    monomials are enumerated now, in key order, and each coefficient is
+    computed as the stream is walked.
 
     Independent of ``pbw_rewrite``; the equality of the two routes is the
     main verified identity.
     """
-    terms = {}
-    for mono in enumerate_pbw_monomials(_letter_counts(counts)):
-        c = coeff_closed_form(mono)
-        if c:
-            terms[mono] = c
-    return PBWPoly(terms, len(counts))
+    return _closed_stream(len(counts), enumerate_pbw_monomials(_letter_counts(counts)))
 
 
-def binomial_ls(m: int, d: int) -> PBWPoly:
-    """(E_1 + ... + E_m)^d assembled from the closed coefficient formula."""
+def binomial_ls(m: int, d: int) -> PBWStream:
+    """(E_1 + ... + E_m)^d read off the closed coefficient formula: the
+    monomials of all its contents in key order, each with its coefficient
+    computed as the stream is walked."""
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     if d < 0:
         raise ValueError("negative power")
-    terms = {}
-    # monomials of different contents differ, so the parts never collide
+    monos = []
     for counts in exponent_vectors(d, (1,) * m):
-        terms.update(sh_closed_form(counts).terms)
-    return PBWPoly(terms, m)
+        monos += enumerate_pbw_monomials(counts)
+    # each content gives a sorted run, and the sort merges the runs
+    monos.sort()
+    return _closed_stream(m, monos)
+
+
+def _closed_stream(m: int, monos) -> PBWStream:
+    """The stream of the list ``monos``, in key order, each monomial with its
+    closed-form coefficient."""
+    return PBWStream(m, lambda: zip(monos, map(coeff_closed_form, monos)))
 
 
 class CharPViolation(AssertionError):
@@ -113,7 +123,7 @@ def sh_pbw_char_p(k: int, p: int) -> PBWPoly:
     survive.  The check behind ``verify charp``."""
     if not 1 <= k <= p - 1:
         raise ValueError("need 1 <= k <= p-1")
-    reduced = reduce_mod_p(sh_closed_form((k, p - k)), p)
+    reduced = reduce_mod_p(sh_closed_form((k, p - k)), p).poly()
     for mono in reduced.terms:
         if not (len(mono) == 1 and mono[0][1] == 1 and len(mono[0][0]) == p):
             raise CharPViolation(

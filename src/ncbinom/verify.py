@@ -49,20 +49,20 @@ def verify_theorem_a(max_binary: int = 8, max_ternary: int = 6):
     checked = 0
     for total in range(max_binary + 1):
         for i in range(total + 1):
-            if sh_closed_form((i, total - i)) != sh_pbw((i, total - i)):
+            if sh_closed_form((i, total - i)).poly() != sh_pbw((i, total - i)):
                 return False, f"binary mismatch at ({i},{total - i})"
             checked += 1
     for total in range(max_ternary + 1):
         for a in range(total + 1):
             for b in range(total - a + 1):
                 counts = (a, b, total - a - b)
-                if sh_closed_form(counts) != sh_pbw(counts):
+                if sh_closed_form(counts).poly() != sh_pbw(counts):
                     return False, f"ternary mismatch at {counts}"
                 checked += 1
     for m, top in ((2, min(max_binary, 6)), (3, min(max_ternary, 4))):
         step = FreePoly({(i,): 1 for i in range(1, m + 1)}, m)
         for d in range(top + 1):
-            if shuffle.binomial_ls(m, d) != pbw_rewrite(step ** d):
+            if shuffle.binomial_ls(m, d).poly() != pbw_rewrite(step ** d):
                 return False, f"binomial mismatch at m={m}, d={d}"
             checked += 1
     return True, f"{checked} multidegrees and powers"
@@ -163,13 +163,13 @@ def verify_theorem_c(max_n: int = 7):
         parts = qsigma.bell_partials(n)
         dual = bell._dual_rec(n, FreePoly.letter(2, 2), FreePoly.letter(1, 2))
         for k in range(n + 1):
-            closed = bell.bell_partial(n, k)
-            if closed != bell.sh_filter((k, n - k), "rightmost_not_E1"):
+            closed = bell.bell_partial(n, k).poly()
+            if closed != bell.sh_filter((k, n - k), "rightmost_not_E1").poly():
                 return False, f"primal mismatch at ({n},{k})"
             if closed != pbw_rewrite(parts[k]):
                 return False, f"primal definition mismatch at ({n},{k})"
-            closed = bell.bell_dual(n, k)
-            if closed != bell.sh_filter((n - k, k), "leftmost_not_E2"):
+            closed = bell.bell_dual(n, k).poly()
+            if closed != bell.sh_filter((n - k, k), "leftmost_not_E2").poly():
                 return False, f"dual mismatch at ({n},{k})"
             word = {w: c for w, c in dual.terms.items() if w.count(1) == k}
             if closed != pbw_rewrite(FreePoly(word, 2)):

@@ -16,7 +16,7 @@ def test_01_shuffle_tables_degree_5_to_7():
     ok, detail = verify.verify_appendix()
     if ok:
         # spot-check two sentinel coefficients in SH_{2,3}
-        p = sh_closed_form((2, 3))
+        p = sh_closed_form((2, 3)).poly()
         ok = (p.coeff((((1, 1, 2, 1, 2), 1),)) == 3
               and p.coeff((((1, 1, 1, 2, 2), 1),)) == 1)
         if not ok:

@@ -129,7 +129,7 @@ _PLANT_COEFFICIENT = (
     "from ncbinom.pbw import PBWPoly\n"
     "right = verify.sh_closed_form\n"
     "def planted(counts):\n"
-    "    p = right(counts)\n"
+    "    p = right(counts).poly()\n"
     "    if tuple(counts) == (2, 3):\n"
     "        p = p + PBWPoly.monomial(next(iter(p.terms)), 2)\n"
     "    return p\n"

@@ -691,9 +691,9 @@ class TestJsonPipeline:
 
     @pytest.mark.parametrize("argv, labels, parts", [
         (("bell", "--n", "4"), [f"B(4,{k})" for k in range(5)],
-         lambda: [bell_partial(4, k) for k in range(5)]),
+         lambda: [bell_partial(4, k).poly() for k in range(5)]),
         (("bell", "--n", "4", "--dual"), [f"B*(4,{k})" for k in range(5)],
-         lambda: [bell_dual(4, k) for k in range(5)]),
+         lambda: [bell_dual(4, k).poly() for k in range(5)]),
         (("ore", "--n", "3", "--sigma", "grading"), [f"coeff of x^{3 - k}" for k in range(4)],
          lambda: [block.poly() for block in qsigma.ore_closed(3, qsigma.grading_sigma)]),
     ])
@@ -712,6 +712,13 @@ class TestJsonPipeline:
         (("qbell", "--n", "3", "--k", "4"), ["Q"]),
         (("ore", "--n", "2", "--sigma", "grading"), ["Q[q]"] * 3),
         (("sh", "--degree", "2,2", "--ring", "GF:3"), ["GF:3"]),
+        # a closed PBW stream declares Q, and its GF:p map declares GF:p
+        (("binom", "--degree", "0", "--ring", "GF:3"), ["GF:3"]),
+        (("sh", "--degree", "0,0", "--pbw"), ["Q"]),
+        (("sh", "--degree", "2,2", "--pbw", "--ring", "GF:2"), ["GF:2"]),
+        (("sh", "--degree", "1,1,1", "--pbw", "--ring", "GF:2"), ["GF:2"]),
+        (("bell", "--n", "3", "--k", "5"), ["Q"]),
+        (("binom", "--alphabet", "10", "--degree", "2"), ["Q"]),
     ])
     def test_stream_ring_tags_and_round_trip(self, capsys, argv, rings):
         code, out, err = run(capsys, *argv, "--format", "json")
@@ -723,6 +730,36 @@ class TestJsonPipeline:
             assert emit_json(parse_json(doc)) == doc
         if argv[0] == "ore":
             assert docs[0]["terms"] == [{"coeff": "1", "word": "e"}]
+
+    @pytest.mark.parametrize("argv", [
+        ("binom", "--degree", "0", "--ring", "GF:3"),
+        ("sh", "--degree", "0,0", "--pbw"),
+        ("sh", "--degree", "2,2", "--pbw", "--ring", "GF:2"),
+        ("sh", "--degree", "1,1,1", "--pbw", "--ring", "GF:2"),
+        ("binom", "--alphabet", "10", "--degree", "2"),
+        ("binom", "--alphabet", "3", "--degree", "4", "--ring", "GF:5"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    def test_closed_pbw_streams_print_the_rewrite_route(self, capsys, argv, fmt):
+        # the stored rewrite of the same word polynomial, through ``pbw``
+        ring = argv[argv.index("--ring"):] if "--ring" in argv else ()
+        if argv[0] == "sh":
+            m = len(argv[2].split(","))
+            expr = run(capsys, "sh", "--degree", argv[2])[1].strip()
+        else:
+            m = int(argv[2]) if argv[1] == "--alphabet" else 2
+            letters = "+".join(f"E([{x}])" for x in range(1, m + 1))
+            expr = f"({letters})^{argv[argv.index('--degree') + 1]}"
+        want = run(capsys, "pbw", "--expr", expr, "--alphabet", str(m), *ring, "--format", fmt)
+        assert run(capsys, *argv, "--format", fmt) == want
+        assert want[0] == 0
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("text", "B(3,5): 0\n"), ("latex", "B(3,5): 0\n"),
+        ("json", '{"label": "B(3,5)", "ring": "Q", "basis": "pbw", "alphabet": 2, "terms": []}\n'),
+    ])
+    def test_empty_bell_stream(self, capsys, fmt, want):
+        assert run(capsys, "bell", "--n", "3", "--k", "5", "--format", fmt) == (0, want, "")
 
 
 _TOKENS = ["E(1)", "E(2)", "E(12)", "E(3)", "E()", "0", "1", "2", "3", "/",

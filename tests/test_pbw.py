@@ -92,6 +92,33 @@ class TestMonomials:
                 assert set(words) == set(permutations(sum(([x] * c for x, c in
                                                             enumerate(counts, 1)), [])))
 
+    @pytest.mark.parametrize("m, max_total", [(2, 12), (3, 7), (4, 5)])
+    def test_enumerate_is_in_key_order(self, m, max_total):
+        # the closed routes stream each content's list as it comes
+        for counts in _contents(m, max_total):
+            monos = enumerate_pbw_monomials(counts)
+            assert all(a < b for a, b in zip(monos, monos[1:])), counts
+
+    def test_enumerate_shares_each_factor_within_one_call(self):
+        factors = [pair for mono in enumerate_pbw_monomials((8, 8)) for pair in mono]
+        assert len({id(pair) for pair in factors}) == len(set(factors))
+        # no cache outlives the call
+        first, again = enumerate_pbw_monomials((1, 1)), enumerate_pbw_monomials((1, 1))
+        assert first == again and first[0][0] is not again[0][0]
+
+    def test_rewrite_shares_each_factor(self):
+        p = pbw_rewrite((FreePoly.letter(1) + FreePoly.letter(2)) ** 8)
+        factors = [pair for mono in p.terms for pair in mono]
+        assert len({id(pair) for pair in factors}) == len(set(factors))
+
+    def test_from_word_shares_through_the_given_dict(self):
+        shared = {}
+        a = monomial_from_word((2, 1, 2, 1), shared)
+        b = monomial_from_word((2, 2, 1, 2, 1), shared)
+        assert a == (((2,), 1), ((1, 2), 1), ((1,), 1))
+        assert a[1] is b[1] and a[2] is b[2] and set(shared) == set(a) | set(b)
+        assert monomial_from_word((2, 1, 2, 1))[1] is not a[1]
+
     def test_enumerate_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             enumerate_pbw_monomials((3, -1))

@@ -2,14 +2,16 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-from ncbinom import shuffle, verify
+from ncbinom import cli, shuffle, verify
 from ncbinom.freepoly import FreePoly
 from ncbinom.pbw import (PBWPoly, enumerate_pbw_monomials, monomial_from_word,
-                         pbw_expand)
+                         pbw_expand, reduce_mod_p)
 from ncbinom.rings import ModInt
 from ncbinom.shuffle import (IntegralityError, binomial_ls, c_e_alpha,
                              coeff_closed_form, sh_closed_form, sh_pbw,
@@ -44,7 +46,7 @@ class TestLeadingCoefficients:
 class TestClosedForm:
     def test_small_binary_example(self):
         # SH_{1,1} = xy + yx = 2 E_2 E_1 + E_12
-        got = sh_closed_form((1, 1))
+        got = sh_closed_form((1, 1)).poly()
         want = (PBWPoly.monomial((((2,), 1), ((1,), 1)), coeff=2)
                 + PBWPoly.monomial((((1, 2), 1),)))
         assert got == want
@@ -54,7 +56,7 @@ class TestClosedForm:
             for j in range(7):
                 if i + j > 8:
                     continue
-                assert sh_closed_form((i, j)) == sh_pbw((i, j))
+                assert sh_closed_form((i, j)).poly() == sh_pbw((i, j))
 
     def test_agrees_with_rewrite_ternary(self):
         for a in range(3):
@@ -62,13 +64,13 @@ class TestClosedForm:
                 for c in range(3):
                     if a + b + c > 5:
                         continue
-                    assert sh_closed_form((a, b, c)) == sh_pbw((a, b, c))
+                    assert sh_closed_form((a, b, c)).poly() == sh_pbw((a, b, c))
 
     def test_mass_is_binomial(self):
         from math import comb
         for i in range(6):
             for j in range(6):
-                p = sh_closed_form((i, j))
+                p = sh_closed_form((i, j)).poly()
                 assert pbw_expand(p).terms.keys() == {
                     w for w in pbw_expand(sh_pbw((i, j))).terms}
                 total = sum(pbw_expand(p).terms.values())
@@ -114,13 +116,13 @@ class TestBinomialLS:
         x = FreePoly.letter(1)
         y = FreePoly.letter(2)
         for d in range(7):
-            assert pbw_expand(binomial_ls(2, d)) == (x + y) ** d
+            assert pbw_expand(binomial_ls(2, d).poly()) == (x + y) ** d
 
     def test_ternary(self):
         s = (FreePoly.letter(1, m=3) + FreePoly.letter(2, m=3)
              + FreePoly.letter(3, m=3))
         for d in range(5):
-            assert pbw_expand(binomial_ls(3, d)) == s ** d
+            assert pbw_expand(binomial_ls(3, d).poly()) == s ** d
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -132,7 +134,7 @@ class TestBinomialLS:
 _NEGATED_BINOMIAL = (
     "from ncbinom import shuffle\n"
     "right = shuffle.binomial_ls\n"
-    "shuffle.binomial_ls = lambda m, d: right(m, d).scale(-1)\n")
+    "shuffle.binomial_ls = lambda m, d: right(m, d).map_coeffs(lambda c: -c)\n")
 
 
 class TestVerifyReachesBinomialLS:
@@ -172,3 +174,86 @@ class TestCharP:
             sh_pbw_char_p(0, 5)
         with pytest.raises(ValueError):
             sh_pbw_char_p(5, 5)
+
+
+def _multinomial(counts):
+    return factorial(sum(counts)) // prod(factorial(c) for c in counts)
+
+
+class TestStreams:
+    """The closed routes print a stream: terms in key order, counted here off
+    the walk, with no dict."""
+
+    def test_binomial_walk_is_in_key_order_with_every_word(self):
+        for d in range(15):
+            prev, count = None, 0
+            for mono, c in binomial_ls(2, d).walk():
+                assert prev is None or prev < mono
+                assert type(c) is int and c > 0
+                prev, count = mono, count + 1
+            assert count == 2 ** d
+
+    @pytest.mark.parametrize("m, max_total", [(2, 12), (3, 7)])
+    def test_closed_form_has_one_term_per_word(self, m, max_total):
+        for counts in product(range(max_total + 1), repeat=m):
+            if sum(counts) <= max_total:
+                count = sum(1 for _ in sh_closed_form(counts).walk())
+                assert count == _multinomial(counts), counts
+
+    def test_declared_rings(self):
+        assert sh_closed_form((2, 3)).ring == binomial_ls(3, 2).ring == "Q"
+        reduced = reduce_mod_p(binomial_ls(2, 5), 5)
+        assert reduced.ring == "GF:5"
+        assert all(isinstance(c, ModInt) and c.p == 5 and c.value for _, c in reduced.walk())
+        assert reduced.poly() == reduce_mod_p(binomial_ls(2, 5).poly(), 5)
+
+
+# E_2^3 E_1^3, a monomial of content (3,3), gains 1 as the streams are walked
+_PLANT_IN_STREAM = (
+    "from ncbinom import shuffle\n"
+    "right = shuffle.coeff_closed_form\n"
+    "def planted(mono):\n"
+    "    return right(mono) + (mono == (((2,), 3), ((1,), 3)))\n"
+    "shuffle.coeff_closed_form = planted\n")
+
+
+@pytest.mark.parametrize("suite, detail", [("theorem-a", "binary mismatch at (3,3)"),
+                                           ("appendix", "mismatch at n=6, SH_{3,3}")])
+class TestPlantInsideTheStream:
+    def test_plain(self, monkeypatch, capsys, suite, detail):
+        monkeypatch.setattr(shuffle, "coeff_closed_form", shuffle.coeff_closed_form)
+        exec(_PLANT_IN_STREAM, {})
+        assert cli.main(["verify", suite]) == 1
+        assert capsys.readouterr().out == f"{suite}: FAIL ({detail})\n"
+
+    def test_under_O(self, verify_under_O, suite, detail):
+        done = verify_under_O(suite, _PLANT_IN_STREAM)
+        assert (done.returncode, done.stderr) == (1, b""), done.stderr.decode()
+        assert done.stdout == f"{suite}: FAIL ({detail})\n".encode()
+
+
+class TestIntegralityErrorEndsTheCommand:
+    """The coefficients are computed as the output is written, so a broken
+    divisibility check fails the command after the terms before it; its exit
+    code is still nonzero."""
+
+    PLANT = ("from fractions import Fraction\n"
+             "from ncbinom import shuffle\n"
+             "right = shuffle.c_e_alpha\n"
+             "shuffle.c_e_alpha = lambda alpha: Fraction(1, 2) if len(alpha) == 9 else right(alpha)\n")
+
+    def test_plain(self, monkeypatch):
+        monkeypatch.setattr(shuffle, "c_e_alpha", shuffle.c_e_alpha)
+        exec(self.PLANT, {})
+        with pytest.raises(IntegralityError):
+            cli.main(["binom", "--degree", "9"])
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_exit_code(self, flags):
+        script = self.PLANT + ("from ncbinom import cli\n"
+                               "cli.main(['binom', '--degree', '9'])\n")
+        src = str(Path(shuffle.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert done.returncode == 1
+        assert b"IntegralityError" in done.stderr
